@@ -41,13 +41,18 @@ type Handler func(vec Vector, now units.Time)
 
 // LocalAPIC is one core's interrupt acceptance unit.
 type LocalAPIC struct {
-	core     int
-	eng      *sim.Engine
-	latency  units.Time
-	handler  Handler
-	masked   bool
-	pending  []Vector
-	accepted uint64
+	core    int
+	eng     *sim.Engine
+	latency units.Time
+	handler Handler
+	masked  bool
+	pending []Vector
+	// inflight holds accepted vectors awaiting delivery. The delivery
+	// latency is one constant per APIC, so deliveries fire in accept
+	// order and each pops the front; deliverEv is l.deliver, bound once.
+	inflight  sim.Ring[Vector]
+	deliverEv sim.Event
+	accepted  uint64
 }
 
 // NewLocalAPIC builds the local APIC for a core; latency is the
@@ -56,7 +61,9 @@ func NewLocalAPIC(eng *sim.Engine, core int, latency units.Time) *LocalAPIC {
 	if latency < 0 {
 		panic("apic: negative delivery latency")
 	}
-	return &LocalAPIC{core: core, eng: eng, latency: latency}
+	l := &LocalAPIC{core: core, eng: eng, latency: latency}
+	l.deliverEv = l.deliver
+	return l
 }
 
 // Core returns the core this local APIC belongs to.
@@ -91,17 +98,27 @@ func (l *LocalAPIC) Masked() bool { return l.masked }
 func (l *LocalAPIC) PendingCount() int { return len(l.pending) }
 
 // Accept takes an interrupt message destined for this core.
+//
+//saisvet:allocfree
 func (l *LocalAPIC) Accept(vec Vector) {
 	if l.masked {
 		l.pending = append(l.pending, vec)
 		return
 	}
-	l.eng.After(l.latency, func(now units.Time) {
-		l.accepted++
-		if l.handler != nil {
-			l.handler(vec, now)
-		}
-	})
+	l.inflight.PushBack(vec)
+	l.eng.After(l.latency, l.deliverEv)
+}
+
+// deliver runs the handler for the oldest in-flight vector.
+//
+//saisvet:allocfree
+func (l *LocalAPIC) deliver(now units.Time) {
+	vec := l.inflight.PopFront()
+	l.accepted++
+	if l.handler != nil {
+		//lint:alloc installed interrupt handler: its allocations belong to the handling layer's budget
+		l.handler(vec, now)
+	}
 }
 
 // RedirEntry is one redirection-table row: the cores allowed to handle
@@ -124,6 +141,9 @@ type IOAPIC struct {
 	router Router
 	stats  IOAPICStats
 	routed []uint64 // interrupts steered to each core
+	// anyCore is the candidate set of an unprogrammed vector: every
+	// core, built once.
+	anyCore []int
 }
 
 // NewIOAPIC builds an I/O APIC over the given local APICs.
@@ -131,11 +151,16 @@ func NewIOAPIC(eng *sim.Engine, locals []*LocalAPIC) *IOAPIC {
 	if len(locals) == 0 {
 		panic("apic: IOAPIC needs at least one local APIC")
 	}
-	return &IOAPIC{
+	io := &IOAPIC{
 		eng: eng, locals: locals,
-		redir:  make(map[Vector]RedirEntry),
-		routed: make([]uint64, len(locals)),
+		redir:   make(map[Vector]RedirEntry),
+		routed:  make([]uint64, len(locals)),
+		anyCore: make([]int, len(locals)),
 	}
+	for i := range io.anyCore {
+		io.anyCore[i] = i
+	}
+	return io
 }
 
 // SetRouter installs the scheduling policy.
@@ -164,16 +189,15 @@ func (io *IOAPIC) Program(vec Vector, allowed []int) {
 	io.redir[vec] = RedirEntry{Allowed: append([]int(nil), allowed...)}
 }
 
-// allowedFor resolves the candidate set for a vector.
+// allowedFor resolves the candidate set for a vector. Routers must not
+// modify it.
+//
+//saisvet:allocfree
 func (io *IOAPIC) allowedFor(vec Vector) []int {
 	if e, ok := io.redir[vec]; ok && len(e.Allowed) > 0 {
 		return e.Allowed
 	}
-	all := make([]int, len(io.locals))
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return io.anyCore
 }
 
 // RouteFor runs the steering decision for an interrupt without raising
@@ -182,11 +206,14 @@ func (io *IOAPIC) allowedFor(vec Vector) []int {
 // per-core routing counter advances. The hybrid workload engine uses it
 // to charge aggregated background interrupt load to the core the policy
 // would have chosen, without a per-frame Accept.
+//
+//saisvet:allocfree
 func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 	if io.router == nil {
 		panic("apic: route with no router installed")
 	}
 	allowed := io.allowedFor(vec)
+	//lint:alloc installed steering policy: its allocations belong to the irqsched layer's budget
 	dest := io.router.Route(vec, hint, flow, allowed, io.eng.Now())
 	ok := false
 	for _, c := range allowed {
@@ -206,6 +233,8 @@ func (io *IOAPIC) RouteFor(vec Vector, hint int, flow uint64) int {
 // Raise routes an interrupt with the given affinity hint (NoHint if the
 // packet carried none) and flow identity, and delivers it to the chosen
 // core's local APIC. It returns the destination core.
+//
+//saisvet:allocfree
 func (io *IOAPIC) Raise(vec Vector, hint int, flow uint64) int {
 	dest := io.RouteFor(vec, hint, flow)
 	io.stats.Raised++

@@ -176,3 +176,26 @@ func TestNegativeLatencyPanics(t *testing.T) {
 	}()
 	NewLocalAPIC(sim.NewEngine(), 0, -1)
 }
+
+// TestRoutingAllocFree checks that steering an unprogrammed vector and
+// delivering it through a local APIC allocate nothing in steady state.
+func TestRoutingAllocFree(t *testing.T) {
+	eng, io, locals := newSystem(t, 4, 200)
+	io.SetRouter(hintRouter{})
+	delivered := 0
+	locals[3].SetHandler(func(Vector, units.Time) { delivered++ })
+	if allocs := testing.AllocsPerRun(100, func() { io.RouteFor(1, 2, 7) }); allocs != 0 {
+		t.Errorf("RouteFor allocates %v times", allocs)
+	}
+	raise := func() {
+		io.Raise(1, 3, 7)
+		io.Raise(1, 3, 8)
+		eng.RunUntilIdle()
+	}
+	if allocs := testing.AllocsPerRun(100, raise); allocs != 0 {
+		t.Errorf("Raise to handler allocates %v times", allocs)
+	}
+	if delivered != 2*101 {
+		t.Errorf("delivered = %d, want %d", delivered, 2*101)
+	}
+}

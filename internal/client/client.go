@@ -323,6 +323,7 @@ type Stats struct {
 // is silent: each record is surfaced through Node.OpErrors (and from
 // there into the cluster Result's fault rollup), and the operation's
 // elapsed time still lands in the latency distribution.
+//
 //saisvet:jsonstable sig=e3566ab0
 type OpError struct {
 	Write bool
@@ -362,10 +363,12 @@ type read struct {
 	issuedAt units.Time
 	file     pfs.FileID
 	tag      uint64
-	plans    []pfs.ServerPlan
-	hint     netsim.AffHint
-	localEOF func(serverIdx int) units.Bytes
-	got      map[int]bool // arrived strips, for dedupe and resend
+	// plans is freshly mapped per transfer, never a reused buffer: the
+	// read requests sent to the servers reference its pieces.
+	plans  []pfs.ServerPlan
+	hint   netsim.AffHint
+	layout pfs.Layout
+	got    map[int]bool // arrived strips, for dedupe and resend
 	// lastSeq is the highest Frame.FlowSeq accepted per server within
 	// this transfer — the receive-side reorder detector.
 	lastSeq map[netsim.NodeID]uint64
@@ -380,6 +383,12 @@ type read struct {
 	partial   bool // deadline hit with strips in hand: consume what arrived
 	timer     sim.Timer
 	done      sim.Event
+	// consumeStart is when the process began consuming the transfer.
+	consumeStart units.Time
+	// Stage callbacks, bound when the record is created and kept
+	// across reuse: the wakeup IPI has landed, the compute is done, the
+	// retry timer fired.
+	woken, consumed, timedOut sim.Event
 }
 
 type blockRef struct {
@@ -391,10 +400,12 @@ type blockRef struct {
 // writeOp tracks one in-flight write transfer: strips are pushed to the
 // servers and the operation completes when every strip is acknowledged.
 type writeOp struct {
-	proc      *Proc
-	issuedAt  units.Time
-	file      pfs.FileID
-	tag       uint64
+	proc     *Proc
+	issuedAt units.Time
+	file     pfs.FileID
+	tag      uint64
+	// plans reuses the record's buffer: strip writes copy their piece
+	// fields, so nothing outside the record references it.
 	plans     []pfs.ServerPlan
 	hint      netsim.AffHint
 	acked     map[int]bool
@@ -403,6 +414,36 @@ type writeOp struct {
 	retries   int
 	timer     sim.Timer
 	done      sim.Event
+	// Stage callbacks, bound when the record is created: the wakeup
+	// IPI after the last acknowledgement has landed, the retry timer
+	// fired.
+	woken, timedOut sim.Event
+}
+
+// syscall is one Read or Write call paying its entry cost on the
+// process's core. Records are pooled per node; entered is s.enter,
+// bound when the record is created.
+type syscall struct {
+	n              *Node
+	proc           *Proc
+	file           pfs.FileID
+	offset, length units.Bytes
+	isWrite        bool
+	done           sim.Event
+	entered        sim.Event
+}
+
+// rxWork is one received frame's protocol processing in softirq
+// context: the frame's identity and body, kept after the frame itself
+// is recycled. Records are pooled per node; processed is w.process,
+// bound when the record is created.
+type rxWork struct {
+	n         *Node
+	core      int
+	src       netsim.NodeID
+	seq       uint64
+	body      any
+	processed sim.Event
 }
 
 // pendingOpen queues operations issued before the file's layout arrived.
@@ -459,15 +500,18 @@ type Node struct {
 	nextTag   uint64
 	nextBlock cache.BlockID
 	// freeReads/freeWrites recycle transfer records (and their interior
-	// map/slice capacity): one record per strip-bearing transfer is the
-	// client's highest allocation churn after frames. A record is freed
-	// only at the end of its final event (completion compute closure or
-	// retry-exhaustion abandon), when no timer or closure references it.
+	// map/slice capacity and bound stage callbacks). A record is freed
+	// only at the end of its final event (completion or retry-exhaustion
+	// abandon), when no timer or pending work references it.
 	freeReads  []*read
 	freeWrites []*writeOp
+	// freeSyscalls and freeRx recycle the per-call and per-frame
+	// records the same way: each is freed as its stage callback starts.
+	freeSyscalls []*syscall
+	freeRx       []*rxWork
 	// frameq holds frames routed to each core, consumed by the local
 	// APIC handler in FIFO order.
-	frameq [][]*netsim.Frame
+	frameq []sim.Ring[*netsim.Frame]
 	stats  Stats
 	// latencies holds completed read-transfer latencies in nanoseconds,
 	// for percentile reporting; writeLatencies the same for writes.
@@ -547,7 +591,7 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		openTags: make(map[uint64]pfs.FileID),
 		reads:    make(map[uint64]*read),
 		writes:   make(map[uint64]*writeOp),
-		frameq:   make([][]*netsim.Frame, cfg.Cores),
+		frameq:   make([]sim.Ring[*netsim.Frame], cfg.Cores),
 	}
 	fab.Attach(n.nic)
 	if cfg.L3PerSocket > 0 {
@@ -675,9 +719,8 @@ func (p *Proc) ID() int { return p.id }
 // consumed (merged and computed over). This is one IOR loop iteration.
 func (p *Proc) Read(file pfs.FileID, offset, length units.Bytes, done sim.Event) {
 	n := p.node
-	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatSyscall, n.cfg.Costs.SyscallTime, func(units.Time) {
-		n.startOp(p, file, offset, length, false, done)
-	})
+	sc := n.newSyscall(p, file, offset, length, false, done)
+	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatSyscall, n.cfg.Costs.SyscallTime, sc.entered)
 }
 
 // Write issues a synchronous parallel write of [offset, offset+length)
@@ -689,9 +732,31 @@ func (p *Proc) Read(file pfs.FileID, offset, length units.Bytes, done sim.Event)
 func (p *Proc) Write(file pfs.FileID, offset, length units.Bytes, done sim.Event) {
 	n := p.node
 	produce := n.cfg.Costs.SyscallTime + units.Time(float64(length)*n.cfg.Costs.ComputePerByte)
-	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatCompute, produce, func(units.Time) {
-		n.startOp(p, file, offset, length, true, done)
-	})
+	sc := n.newSyscall(p, file, offset, length, true, done)
+	n.cpu.Core(p.core).Submit(cpu.PrioProcess, cpu.CatCompute, produce, sc.entered)
+}
+
+// newSyscall returns a recycled (or fresh) syscall record.
+func (n *Node) newSyscall(p *Proc, file pfs.FileID, offset, length units.Bytes, isWrite bool, done sim.Event) *syscall {
+	var sc *syscall
+	if k := len(n.freeSyscalls); k > 0 {
+		sc = n.freeSyscalls[k-1]
+		n.freeSyscalls = n.freeSyscalls[:k-1]
+	} else {
+		sc = &syscall{n: n}
+		sc.entered = sc.enter
+	}
+	sc.proc, sc.file, sc.offset, sc.length, sc.isWrite, sc.done = p, file, offset, length, isWrite, done
+	return sc
+}
+
+// enter runs once the call's entry cost is paid: recycle the record,
+// then start the operation.
+func (sc *syscall) enter(units.Time) {
+	n, p, file, offset, length, isWrite, done := sc.n, sc.proc, sc.file, sc.offset, sc.length, sc.isWrite, sc.done
+	sc.proc, sc.done = nil, nil
+	n.freeSyscalls = append(n.freeSyscalls, sc)
+	n.startOp(p, file, offset, length, isWrite, done)
 }
 
 // startOp runs after the syscall cost; it resolves the layout (via the
@@ -766,7 +831,8 @@ func (n *Node) retryOpen(file pfs.FileID, st *openState) {
 // acknowledgements.
 func (n *Node) issueWrite(p *Proc, file pfs.FileID, offset, length units.Bytes, done sim.Event) {
 	layout := n.layouts[file]
-	plans, err := layout.Extents(offset, length)
+	w := n.newWrite()
+	plans, err := layout.AppendExtents(w.plans[:0], offset, length)
 	if err != nil {
 		panic(fmt.Sprintf("client: extents: %v", err))
 	}
@@ -776,7 +842,6 @@ func (n *Node) issueWrite(p *Proc, file pfs.FileID, offset, length units.Bytes, 
 	}
 	n.nextTag++
 	tag := n.nextTag
-	w := n.newWrite()
 	w.proc, w.issuedAt, w.file, w.tag = p, n.eng.Now(), file, tag
 	w.plans, w.hint, w.done = plans, hint, done
 	for _, plan := range plans {
@@ -811,9 +876,7 @@ func (n *Node) armWriteTimer(w *writeOp) {
 	if n.cfg.RetryTimeout <= 0 {
 		return
 	}
-	w.timer = n.eng.After(n.retryDelayFor(w.tag, w.retries, w.issuedAt), func(units.Time) {
-		n.retryWrite(w)
-	})
+	w.timer = n.eng.After(n.retryDelayFor(w.tag, w.retries, w.issuedAt), w.timedOut)
 }
 
 // retryDelayFor is RetryDelay clamped so the timer never sleeps past
@@ -916,8 +979,7 @@ func (n *Node) issue(p *Proc, file pfs.FileID, offset, length units.Bytes, done 
 	tag := n.nextTag
 	rd := n.newRead()
 	rd.proc, rd.issuedAt, rd.file, rd.tag = p, n.eng.Now(), file, tag
-	rd.plans, rd.hint, rd.done = plans, hint, done
-	rd.localEOF = func(idx int) units.Bytes { return layout.LocalBytes(idx) }
+	rd.plans, rd.hint, rd.layout, rd.done = plans, hint, layout, done
 	for _, plan := range plans {
 		rd.remaining += len(plan.Pieces)
 	}
@@ -962,7 +1024,7 @@ func (n *Node) sendReadRequests(rd *read, plans []pfs.ServerPlan) {
 	for _, plan := range plans {
 		n.nic.Send(plan.Server, pfs.RequestSize, rd.hint, &pfs.ReadRequest{
 			File: rd.file, Tag: rd.tag, Client: n.cfg.Node, Pieces: plan.Pieces,
-			LocalEOF: rd.localEOF(plan.ServerIdx),
+			LocalEOF: rd.layout.LocalBytes(plan.ServerIdx),
 		})
 		if n.txObs != nil {
 			n.txObs.NoteTransmit(uint64(plan.Server), rd.proc.core)
@@ -975,9 +1037,7 @@ func (n *Node) armReadTimer(rd *read) {
 	if n.cfg.RetryTimeout <= 0 {
 		return
 	}
-	rd.timer = n.eng.After(n.retryDelayFor(rd.tag, rd.retries, rd.issuedAt), func(units.Time) {
-		n.retryRead(rd)
-	})
+	rd.timer = n.eng.After(n.retryDelayFor(rd.tag, rd.retries, rd.issuedAt), rd.timedOut)
 }
 
 // retryRead re-issues requests covering strips that have not arrived.
@@ -1089,6 +1149,8 @@ func missingPlans(plans []pfs.ServerPlan, got map[int]bool) []pfs.ServerPlan {
 // RSS): the queue's vector is raised and the redirection table — not a
 // software policy — decides the core. Hints are ignored, as static
 // vector assignment cannot follow them.
+//
+//saisvet:allocfree
 func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
 	for _, f := range n.nic.DrainQueue(q) {
 		if !n.headerOK(f) {
@@ -1097,14 +1159,19 @@ func (n *Node) onNICQueueInterrupt(q int, now units.Time) {
 		}
 		dest := n.ioapic.Raise(DataVector+apic.Vector(q), apic.NoHint, uint64(f.Src))
 		n.recordTransit(f, now, dest)
-		n.frameq[dest] = append(n.frameq[dest], f)
-		n.tracef("apic", "msix q%d frame from node %d routed to core %d", q, f.Src, dest)
+		n.frameq[dest].PushBack(f)
+		if n.tracer != nil {
+			//lint:alloc event trace, installed only on traced runs
+			n.tracef("apic", "msix q%d frame from node %d routed to core %d", q, f.Src, dest)
+		}
 	}
 }
 
 // onNICInterrupt is the NIC interrupt line: for every drained frame the
 // I/O APIC (under the installed policy) picks a handling core, and the
 // frame is queued for that core's local-APIC delivery.
+//
+//saisvet:allocfree
 func (n *Node) onNICInterrupt(now units.Time) {
 	for _, f := range n.nic.Drain() {
 		if !n.headerOK(f) {
@@ -1127,8 +1194,11 @@ func (n *Node) onNICInterrupt(now units.Time) {
 		}
 		dest := n.ioapic.Raise(DataVector, h, uint64(f.Src))
 		n.recordTransit(f, now, dest)
-		n.frameq[dest] = append(n.frameq[dest], f)
-		n.tracef("apic", "frame from node %d (%v) routed to core %d", f.Src, hint, dest)
+		n.frameq[dest].PushBack(f)
+		if n.tracer != nil {
+			//lint:alloc event trace, installed only on traced runs
+			n.tracef("apic", "frame from node %d (%v) routed to core %d", f.Src, hint, dest)
+		}
 	}
 }
 
@@ -1136,6 +1206,8 @@ func (n *Node) onNICInterrupt(now units.Time) {
 // stamps the NIC layer left on it) and opens the steering span, which
 // the local-APIC delivery closes. Only strip data is tracked — layout
 // and ack traffic has no per-strip identity.
+//
+//saisvet:allocfree
 func (n *Node) recordTransit(f *netsim.Frame, now units.Time, dest int) {
 	if n.spans == nil {
 		return
@@ -1154,9 +1226,12 @@ func (n *Node) recordTransit(f *netsim.Frame, now units.Time, dest int) {
 
 // headerOK validates the frame's IPv4 header; a corrupted header is
 // dropped at the stack entrance and counted.
+//
+//saisvet:allocfree
 func (n *Node) headerOK(f *netsim.Frame) bool {
 	if _, _, err := netsim.UnmarshalIPv4(f.Header); err != nil {
 		n.stats.HeaderDrops++
+		//lint:alloc diagnostic for a corrupted frame, off the healthy path
 		n.tracef("driver", "dropping frame from node %d: %v", f.Src, err)
 		return false
 	}
@@ -1165,15 +1240,17 @@ func (n *Node) headerOK(f *netsim.Frame) bool {
 
 // handleIRQ runs when a local APIC delivers the vector to a core: pop
 // one frame and process it in interrupt context on that core.
+//
+//saisvet:allocfree
 func (n *Node) handleIRQ(core int, now units.Time) {
-	if len(n.frameq[core]) == 0 {
+	if n.frameq[core].Len() == 0 {
 		return // spurious (frame dropped by ring overflow)
 	}
-	f := n.frameq[core][0]
-	n.frameq[core] = n.frameq[core][1:]
+	f := n.frameq[core].PopFront()
 
 	c := n.cpu.Core(core)
 	c.Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.IRQEntry, nil)
+	var cost units.Time
 	switch body := f.Body.(type) {
 	case *pfs.StripData:
 		if n.spans != nil {
@@ -1183,28 +1260,60 @@ func (n *Node) handleIRQ(core int, now units.Time) {
 			n.spans.End(trace.PhaseSteer, now, cl, body.Tag, body.GlobalStrip, core)
 			n.spans.Begin(trace.PhaseIRQ, now, cl, int(f.Src), body.Tag, body.GlobalStrip, core)
 		}
-		cost := units.Time(float64(f.Payload) * n.cfg.Costs.SoftirqPerByte)
-		src, seq := f.Src, f.FlowSeq // captured: the frame is freed below
-		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, cost, func(now units.Time) {
-			n.stripArrived(core, src, seq, body, now)
-		})
+		cost = units.Time(float64(f.Payload) * n.cfg.Costs.SoftirqPerByte)
 	case *pfs.WriteAck:
-		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, units.Microsecond, func(now units.Time) {
-			n.ackArrived(body, now)
-		})
+		cost = units.Microsecond
 	case *pfs.LayoutReply:
-		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, 2*units.Microsecond, func(units.Time) {
-			n.layoutArrived(body)
-		})
+		cost = 2 * units.Microsecond
 	default:
 		// Mid-strip fragments (Fragment wire mode) and stray traffic:
 		// protocol processing proportional to the bytes carried.
-		cost := units.Microsecond + units.Time(float64(f.Payload)*n.cfg.Costs.SoftirqPerByte)
-		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, cost, nil)
+		c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq,
+			units.Microsecond+units.Time(float64(f.Payload)*n.cfg.Costs.SoftirqPerByte), nil)
+		n.nic.Free(f)
+		return
 	}
-	// The body pointer and payload size were captured above; the frame
-	// itself is consumed and can be recycled.
+	// The work record keeps what processing needs of the frame, which
+	// is consumed here and can be recycled.
+	w := n.newRx()
+	w.core, w.src, w.seq, w.body = core, f.Src, f.FlowSeq, f.Body
+	c.Submit(cpu.PrioSoftirq, cpu.CatSoftirq, cost, w.processed)
 	n.nic.Free(f)
+}
+
+// newRx returns a recycled (or fresh) softirq work record.
+//
+//saisvet:allocfree
+func (n *Node) newRx() *rxWork {
+	if k := len(n.freeRx); k > 0 {
+		w := n.freeRx[k-1]
+		n.freeRx = n.freeRx[:k-1]
+		return w
+	}
+	//lint:alloc pool growth to the peak number of frames in softirq processing
+	return newRxWork(n)
+}
+
+func newRxWork(n *Node) *rxWork {
+	w := &rxWork{n: n}
+	w.processed = w.process
+	return w
+}
+
+// process runs once the frame's protocol processing is done: recycle
+// the record, then hand the body to its consumer.
+func (w *rxWork) process(now units.Time) {
+	n, core, src, seq, body := w.n, w.core, w.src, w.seq, w.body
+	w.body = nil
+	n.freeRx = append(n.freeRx, w)
+	switch body := body.(type) {
+	case *pfs.StripData:
+		n.stripArrived(core, src, seq, body, now)
+	case *pfs.WriteAck:
+		n.ackArrived(body, now)
+	case *pfs.LayoutReply:
+		n.layoutArrived(body)
+	}
 }
 
 // stripArrived deposits the strip into the handling core's cache and
@@ -1262,8 +1371,10 @@ func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.Str
 	if rd.remaining == 0 {
 		delete(n.reads, sd.Tag)
 		rd.timer.Cancel()
-		n.tracef("client", "transfer tag=%d complete (%v), waking proc %d on core %d",
-			sd.Tag, rd.bytes, rd.proc.id, rd.proc.core)
+		if n.tracer != nil {
+			n.tracef("client", "transfer tag=%d complete (%v), waking proc %d on core %d",
+				sd.Tag, rd.bytes, rd.proc.id, rd.proc.core)
+		}
 		n.wake(rd, now)
 	}
 }
@@ -1287,16 +1398,21 @@ func (n *Node) ackArrived(ack *pfs.WriteAck, _ units.Time) {
 	delete(n.writes, ack.Tag)
 	w.timer.Cancel()
 	p := w.proc
-	n.tracef("client", "write tag=%d complete (%v) on core %d", ack.Tag, w.bytes, p.core)
-	n.cpu.Core(p.core).Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, func(now units.Time) {
-		n.stats.BytesWritten += w.bytes
-		n.stats.WriteTransfers++
-		n.writeLatencies = append(n.writeLatencies, float64(now-w.issuedAt))
-		if w.done != nil {
-			w.done(now)
-		}
-		n.freeWrite(w)
-	})
+	if n.tracer != nil {
+		n.tracef("client", "write tag=%d complete (%v) on core %d", ack.Tag, w.bytes, p.core)
+	}
+	n.cpu.Core(p.core).Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, w.woken)
+}
+
+// writeDone runs once the writer's wakeup IPI has landed.
+func (n *Node) writeDone(w *writeOp, now units.Time) {
+	n.stats.BytesWritten += w.bytes
+	n.stats.WriteTransfers++
+	n.writeLatencies = append(n.writeLatencies, float64(now-w.issuedAt))
+	if w.done != nil {
+		w.done(now)
+	}
+	n.freeWrite(w)
 }
 
 // layoutArrived installs a layout and issues the reads parked on it.
@@ -1309,6 +1425,11 @@ func (n *Node) layoutArrived(rep *pfs.LayoutReply) {
 	if st := n.opens[file]; st != nil {
 		st.timer.Cancel()
 		delete(n.opens, file)
+	}
+	// Validated once here, where the layout enters the node; mapping
+	// transfers onto it repeats only the cheap checks.
+	if err := rep.Layout.Validate(); err != nil {
+		panic(fmt.Sprintf("client: layout of file %d: %v", file, err))
 	}
 	n.layouts[file] = rep.Layout
 	parked := n.opening[file]
@@ -1329,11 +1450,15 @@ func (n *Node) newRead() *read {
 		n.freeReads = n.freeReads[:k-1]
 		return rd
 	}
-	return &read{
+	rd := &read{
 		got:     make(map[int]bool),
 		lastSeq: make(map[netsim.NodeID]uint64),
 		srvLeft: make(map[netsim.NodeID]int),
 	}
+	rd.woken = func(units.Time) { n.consume(rd) }
+	rd.consumed = func(now units.Time) { n.readDone(rd, now) }
+	rd.timedOut = func(units.Time) { n.retryRead(rd) }
+	return rd
 }
 
 // freeRead recycles a finished read record, keeping its map and slice
@@ -1344,8 +1469,8 @@ func (n *Node) freeRead(rd *read) {
 	clear(rd.got)
 	clear(rd.lastSeq)
 	clear(rd.srvLeft)
-	got, lastSeq, srvLeft, blocks := rd.got, rd.lastSeq, rd.srvLeft, rd.blocks[:0]
-	*rd = read{got: got, lastSeq: lastSeq, srvLeft: srvLeft, blocks: blocks}
+	*rd = read{got: rd.got, lastSeq: rd.lastSeq, srvLeft: rd.srvLeft, blocks: rd.blocks[:0],
+		woken: rd.woken, consumed: rd.consumed, timedOut: rd.timedOut}
 	n.freeReads = append(n.freeReads, rd)
 }
 
@@ -1356,15 +1481,17 @@ func (n *Node) newWrite() *writeOp {
 		n.freeWrites = n.freeWrites[:k-1]
 		return w
 	}
-	return &writeOp{acked: make(map[int]bool)}
+	w := &writeOp{acked: make(map[int]bool)}
+	w.woken = func(now units.Time) { n.writeDone(w, now) }
+	w.timedOut = func(units.Time) { n.retryWrite(w) }
+	return w
 }
 
 // freeWrite recycles a finished write record under the same contract
 // as freeRead.
 func (n *Node) freeWrite(w *writeOp) {
 	clear(w.acked)
-	acked := w.acked
-	*w = writeOp{acked: acked}
+	*w = writeOp{acked: w.acked, plans: w.plans[:0], woken: w.woken, timedOut: w.timedOut}
 	n.freeWrites = append(n.freeWrites, w)
 }
 
@@ -1373,9 +1500,7 @@ func (n *Node) freeWrite(w *writeOp) {
 func (n *Node) wake(rd *read, _ units.Time) {
 	p := rd.proc
 	c := n.cpu.Core(p.core)
-	c.Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, func(units.Time) {
-		n.consume(rd)
-	})
+	c.Submit(cpu.PrioSoftirq, cpu.CatIRQ, n.cfg.Costs.WakeIPI, rd.woken)
 }
 
 // consume models the process reading every strip of the completed
@@ -1384,7 +1509,7 @@ func (n *Node) wake(rd *read, _ units.Time) {
 func (n *Node) consume(rd *read) {
 	p := rd.proc
 	c := n.cpu.Core(p.core)
-	consumeStart := n.eng.Now()
+	rd.consumeStart = n.eng.Now()
 	lineSize := n.caches.LineSize()
 	var remoteLines, farLines, l3Lines, l3FarLines, memLines, localLines int64
 	for _, b := range rd.blocks {
@@ -1434,37 +1559,41 @@ func (n *Node) consume(rd *read) {
 	}
 	compute := units.Time(localLines)*costs.LocalLine +
 		units.Time(float64(rd.bytes)*costs.ComputePerByte)
-	c.Submit(cpu.PrioProcess, cpu.CatCompute, compute, func(now units.Time) {
-		n.stats.BytesRead += rd.bytes
-		if rd.partial {
-			// Graceful degradation: the strips in hand reached the
-			// application, but the transfer is recorded as a typed partial
-			// result, not a completed one.
-			n.stats.PartialTransfers++
-			n.stats.PartialBytes += rd.bytes
-			n.opErrors = append(n.opErrors, OpError{Client: n.cfg.Node, File: rd.file,
-				Tag: rd.tag, Retries: rd.retries, Partial: true, BytesDelivered: rd.bytes,
-				StripsMissing: rd.remaining, IssuedAt: rd.issuedAt, FailedAt: now})
-		} else {
-			n.stats.Transfers++
+	c.Submit(cpu.PrioProcess, cpu.CatCompute, compute, rd.consumed)
+}
+
+// readDone completes a consumed transfer.
+func (n *Node) readDone(rd *read, now units.Time) {
+	p := rd.proc
+	n.stats.BytesRead += rd.bytes
+	if rd.partial {
+		// Graceful degradation: the strips in hand reached the
+		// application, but the transfer is recorded as a typed partial
+		// result, not a completed one.
+		n.stats.PartialTransfers++
+		n.stats.PartialBytes += rd.bytes
+		n.opErrors = append(n.opErrors, OpError{Client: n.cfg.Node, File: rd.file,
+			Tag: rd.tag, Retries: rd.retries, Partial: true, BytesDelivered: rd.bytes,
+			StripsMissing: rd.remaining, IssuedAt: rd.issuedAt, FailedAt: now})
+	} else {
+		n.stats.Transfers++
+	}
+	n.latencies = append(n.latencies, float64(now-rd.issuedAt))
+	if n.spans != nil {
+		// The whole transfer is consumed as one batch; every strip's
+		// consume span covers the wake→compute-done window on the
+		// process's core.
+		for _, b := range rd.blocks {
+			n.spans.Emit(trace.Span{Phase: trace.PhaseConsume,
+				Start: rd.consumeStart, End: now,
+				Client: int(n.cfg.Node), Server: -1, Tag: rd.tag,
+				Strip: b.strip, Core: p.core})
 		}
-		n.latencies = append(n.latencies, float64(now-rd.issuedAt))
-		if n.spans != nil {
-			// The whole transfer is consumed as one batch; every strip's
-			// consume span covers the wake→compute-done window on the
-			// process's core.
-			for _, b := range rd.blocks {
-				n.spans.Emit(trace.Span{Phase: trace.PhaseConsume,
-					Start: consumeStart, End: now,
-					Client: int(n.cfg.Node), Server: -1, Tag: rd.tag,
-					Strip: b.strip, Core: p.core})
-			}
-		}
-		if rd.done != nil {
-			rd.done(now)
-		}
-		n.freeRead(rd)
-	})
+	}
+	if rd.done != nil {
+		rd.done(now)
+	}
+	n.freeRead(rd)
 }
 
 // sameSocket reports whether cores a and b share a socket under the

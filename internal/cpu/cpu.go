@@ -55,7 +55,8 @@ func (c Category) String() string {
 	return fmt.Sprintf("Category(%d)", int(c))
 }
 
-// task is one schedulable work item.
+// task is one schedulable work item. Tasks are values: they live in
+// the core's run-queue rings and its running slot, never on the heap.
 type task struct {
 	remaining units.Time
 	prio      Priority
@@ -90,13 +91,18 @@ type Core struct {
 	freq    units.Hertz
 	quantum units.Time // 0 = run process work to completion
 
-	queues [numPriorities][]*task
-	run    *task
+	queues [numPriorities]sim.Ring[task]
+	// run is the executing task while running is set.
+	run     task
+	running bool
 	// runRotating records whether the current slice ends in a rotation
 	// (timeslice expiry) rather than completion.
 	runRotating bool
 	runTm       sim.Timer
 	ranAt       units.Time
+	// finishEv and rotateEv are c.finish and c.rotate, bound once so
+	// starting a slice schedules a callback without allocating one.
+	finishEv, rotateEv sim.Event
 
 	// spanHook, when set, observes every completed execution span.
 	//saisvet:nilhook
@@ -110,7 +116,9 @@ func NewCore(eng *sim.Engine, id int, freq units.Hertz) *Core {
 	if freq <= 0 {
 		panic("cpu: non-positive frequency")
 	}
-	return &Core{id: id, eng: eng, freq: freq}
+	c := &Core{id: id, eng: eng, freq: freq}
+	c.finishEv, c.rotateEv = c.finish, c.rotate
+	return c
 }
 
 // ID returns the core index.
@@ -138,7 +146,7 @@ func (c *Core) SetSpanHook(h SpanHook) { c.spanHook = h }
 // slice of any currently running task so mid-run reads are exact.
 func (c *Core) Stats() CoreStats {
 	s := c.stats
-	if c.run != nil {
+	if c.running {
 		elapsed := c.eng.Now() - c.ranAt
 		s.Busy += elapsed
 		s.ByCategory[c.run.cat] += elapsed
@@ -148,22 +156,14 @@ func (c *Core) Stats() CoreStats {
 
 // Busy reports whether the core is executing or has queued work.
 func (c *Core) Busy() bool {
-	if c.run != nil {
-		return true
-	}
-	for _, q := range c.queues {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
+	return c.running || c.QueueLen() > 0
 }
 
 // QueueLen returns the number of waiting (not running) work items.
 func (c *Core) QueueLen() int {
 	n := 0
-	for _, q := range c.queues {
-		n += len(q)
+	for p := range c.queues {
+		n += c.queues[p].Len()
 	}
 	return n
 }
@@ -171,6 +171,8 @@ func (c *Core) QueueLen() int {
 // Submit queues work of the given duration; done (optional) fires when
 // it completes. Softirq-priority work preempts process-priority work
 // immediately.
+//
+//saisvet:allocfree
 func (c *Core) Submit(prio Priority, cat Category, d units.Time, done sim.Event) {
 	if prio < 0 || prio >= numPriorities {
 		panic(fmt.Sprintf("cpu: bad priority %d", prio))
@@ -178,24 +180,27 @@ func (c *Core) Submit(prio Priority, cat Category, d units.Time, done sim.Event)
 	if d < 0 {
 		panic("cpu: negative duration")
 	}
-	t := &task{remaining: d, prio: prio, cat: cat, done: done}
-	c.queues[prio] = append(c.queues[prio], t)
+	c.queues[prio].PushBack(task{remaining: d, prio: prio, cat: cat, done: done})
 	c.reschedule()
 }
 
 // SubmitCycles queues work measured in cycles at this core's frequency.
+//
+//saisvet:allocfree
 func (c *Core) SubmitCycles(prio Priority, cat Category, cy units.Cycles, done sim.Event) {
 	c.Submit(prio, cat, c.freq.Duration(cy), done)
 }
 
 // reschedule ensures the highest-priority waiting task is running,
 // preempting lower-priority work.
+//
+//saisvet:allocfree
 func (c *Core) reschedule() {
 	next := c.peek()
 	if next == nil {
 		return
 	}
-	if c.run != nil {
+	if c.running {
 		if c.run.prio < next.prio {
 			return // current work has strictly higher priority
 		}
@@ -219,28 +224,42 @@ func (c *Core) reschedule() {
 
 // bankAndRequeueFront charges the elapsed slice of the running task and
 // puts it back at the head of its queue.
+//
+//saisvet:allocfree
 func (c *Core) bankAndRequeueFront() {
-	now := c.eng.Now()
+	c.bank(c.eng.Now())
+	c.runTm.Cancel()
+	c.queues[c.run.prio].PushFront(c.run)
+}
+
+// bank charges the running task's slice up to now, shortens its
+// remaining work by the slice, and empties the running slot (c.run
+// keeps the banked task for the caller).
+//
+//saisvet:allocfree
+func (c *Core) bank(now units.Time) {
+	t := &c.run
 	elapsed := now - c.ranAt
 	c.stats.Busy += elapsed
-	c.stats.ByCategory[c.run.cat] += elapsed
+	c.stats.ByCategory[t.cat] += elapsed
 	if c.spanHook != nil && elapsed > 0 {
-		c.spanHook(c.id, c.run.cat, c.ranAt, now)
+		//lint:alloc span tracer hook, installed only on traced runs
+		c.spanHook(c.id, t.cat, c.ranAt, now)
 	}
-	c.run.remaining -= elapsed
-	if c.run.remaining < 0 {
-		c.run.remaining = 0
+	t.remaining -= elapsed
+	if t.remaining < 0 {
+		t.remaining = 0
 	}
-	c.runTm.Cancel()
-	c.queues[c.run.prio] = append([]*task{c.run}, c.queues[c.run.prio]...)
-	c.run = nil
+	c.running = false
 }
 
 // peek returns the next waiting task without removing it.
+//
+//saisvet:allocfree
 func (c *Core) peek() *task {
-	for p := 0; p < int(numPriorities); p++ {
-		if len(c.queues[p]) > 0 {
-			return c.queues[p][0]
+	for p := range c.queues {
+		if c.queues[p].Len() > 0 {
+			return c.queues[p].Front()
 		}
 	}
 	return nil
@@ -248,69 +267,53 @@ func (c *Core) peek() *task {
 
 // start pops the next task and runs it until completion, preemption, or
 // timeslice expiry.
+//
+//saisvet:allocfree
 func (c *Core) start() {
-	for p := 0; p < int(numPriorities); p++ {
-		if len(c.queues[p]) == 0 {
+	for p := range c.queues {
+		if c.queues[p].Len() == 0 {
 			continue
 		}
-		t := c.queues[p][0]
-		c.queues[p] = c.queues[p][1:]
-		c.run = t
+		c.run = c.queues[p].PopFront()
+		c.running = true
 		c.ranAt = c.eng.Now()
-		slice := t.remaining
-		rotate := false
-		if c.quantum > 0 && t.prio == PrioProcess &&
-			len(c.queues[PrioProcess]) > 0 && slice > c.quantum {
+		slice := c.run.remaining
+		c.runRotating = c.quantum > 0 && c.run.prio == PrioProcess &&
+			c.queues[PrioProcess].Len() > 0 && slice > c.quantum
+		ev := c.finishEv
+		if c.runRotating {
 			slice = c.quantum
-			rotate = true
+			ev = c.rotateEv
 		}
-		c.runRotating = rotate
-		if rotate {
-			c.runTm = c.eng.After(slice, func(now units.Time) {
-				c.rotate(now)
-			})
-		} else {
-			c.runTm = c.eng.After(slice, func(now units.Time) {
-				c.finish(now)
-			})
-		}
+		c.runTm = c.eng.After(slice, ev)
 		return
 	}
 }
 
 // rotate expires the running task's timeslice: bank the slice, move it
 // to the back of its queue, and dispatch the next task.
+//
+//saisvet:allocfree
 func (c *Core) rotate(now units.Time) {
-	t := c.run
-	elapsed := now - c.ranAt
-	c.stats.Busy += elapsed
-	c.stats.ByCategory[t.cat] += elapsed
-	if c.spanHook != nil && elapsed > 0 {
-		c.spanHook(c.id, t.cat, c.ranAt, now)
-	}
-	t.remaining -= elapsed
-	if t.remaining < 0 {
-		t.remaining = 0
-	}
+	c.bank(now)
 	c.stats.Rotations++
-	c.run = nil
-	c.queues[t.prio] = append(c.queues[t.prio], t)
+	c.queues[c.run.prio].PushBack(c.run)
 	c.start()
 }
 
+// finish completes the running task, dispatches the next one, then runs
+// the finished task's done callback.
+//
+//saisvet:allocfree
 func (c *Core) finish(now units.Time) {
-	t := c.run
-	elapsed := now - c.ranAt
-	c.stats.Busy += elapsed
-	c.stats.ByCategory[t.cat] += elapsed
-	if c.spanHook != nil && elapsed > 0 {
-		c.spanHook(c.id, t.cat, c.ranAt, now)
-	}
+	c.bank(now)
 	c.stats.Completed++
-	c.run = nil
+	done := c.run.done
+	c.run = task{}
 	c.start()
-	if t.done != nil {
-		t.done(now)
+	if done != nil {
+		//lint:alloc work-completion callback: its allocations belong to the submitter's budget
+		done(now)
 	}
 }
 
@@ -364,6 +367,7 @@ func (p *CPU) TotalStats() CoreStats {
 		s.Busy += cs.Busy
 		s.Completed += cs.Completed
 		s.Preempts += cs.Preempts
+		s.Rotations += cs.Rotations
 		for i := range cs.ByCategory {
 			s.ByCategory[i] += cs.ByCategory[i]
 		}

@@ -177,14 +177,21 @@ func TestInvalidSubmits(t *testing.T) {
 func TestCPUAggregates(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, 4, 2*units.GHz)
+	p.SetQuantum(50)
 	eng.At(0, func(units.Time) {
 		p.Core(0).Submit(PrioProcess, CatCompute, 100, nil)
-		p.Core(1).Submit(PrioProcess, CatCompute, 300, nil)
+		// Two process items share core 1 under the quantum, so it
+		// rotates; the work (and wall clock) stays 300.
+		p.Core(1).Submit(PrioProcess, CatCompute, 150, nil)
+		p.Core(1).Submit(PrioProcess, CatCompute, 150, nil)
 	})
 	eng.RunUntilIdle()
 	total := p.TotalStats()
 	if total.Busy != 400 {
 		t.Errorf("total busy = %v, want 400", total.Busy)
+	}
+	if rot := p.Core(1).Stats().Rotations; rot == 0 || total.Rotations != rot {
+		t.Errorf("total rotations = %d, want core 1's %d (> 0)", total.Rotations, rot)
 	}
 	// Wall clock is 300; 4 cores → 1200 core-ns available, 400 busy.
 	want := 400.0 / 1200.0
@@ -340,5 +347,27 @@ func TestTimesliceFairness(t *testing.T) {
 	eng.RunUntilIdle()
 	if doneB-doneA > 10 {
 		t.Errorf("completions %v and %v not interleaved fairly", doneA, doneB)
+	}
+}
+
+// TestSubmitFinishAllocFree checks that a core's steady-state cycle
+// allocates nothing: process work rotated by the quantum, preempted by
+// softirq work, and every item run to completion.
+func TestSubmitFinishAllocFree(t *testing.T) {
+	eng, c := newCore(t)
+	c.SetQuantum(10)
+	done := func(units.Time) {}
+	irq := func(units.Time) { c.Submit(PrioSoftirq, CatSoftirq, 3, done) }
+	cycle := func() {
+		c.Submit(PrioProcess, CatCompute, 25, done)
+		c.Submit(PrioProcess, CatCompute, 25, nil)
+		eng.After(5, irq)
+		eng.RunUntilIdle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("submit/finish cycle allocates %v times", allocs)
+	}
+	if s := c.Stats(); s.Rotations == 0 || s.Preempts == 0 {
+		t.Errorf("cycle did not rotate and preempt: %+v", s)
 	}
 }

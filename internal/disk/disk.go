@@ -86,6 +86,10 @@ type Disk struct {
 	rotSeed uint64
 	queue   []request
 	busy    bool
+	// cur is the request in service; completeEv is d.complete, bound
+	// once, fired when it finishes.
+	cur        request
+	completeEv sim.Event
 	// head is the LBA after the last media access; raEnd is the end of
 	// the readahead window filled by it.
 	head  units.Bytes
@@ -99,7 +103,9 @@ func New(eng *sim.Engine, cfg Config, rnd *rng.Source) *Disk {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &Disk{cfg: cfg, eng: eng, rotSeed: rnd.Uint64()}
+	d := &Disk{cfg: cfg, eng: eng, rotSeed: rnd.Uint64()}
+	d.completeEv = d.complete
+	return d
 }
 
 // Stats returns a copy of the counters.
@@ -153,12 +159,18 @@ func (d *Disk) dispatch() {
 		d.stats.Bytes += req.size
 	}
 	d.stats.BusyTime += cost
-	d.eng.After(cost, func(now units.Time) {
-		if req.done != nil {
-			req.done(now)
-		}
-		d.dispatch()
-	})
+	d.cur = req
+	d.eng.After(cost, d.completeEv)
+}
+
+// complete finishes the request in service and starts the next one.
+func (d *Disk) complete(now units.Time) {
+	done := d.cur.done
+	d.cur = request{}
+	if done != nil {
+		done(now)
+	}
+	d.dispatch()
 }
 
 // pick selects the request with the shortest head movement among the

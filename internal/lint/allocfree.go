@@ -58,6 +58,17 @@ var allocFreeStdlib = map[string]bool{
 	"sync/atomic": true,
 }
 
+// allocFreeStdlibFuncs are single dependency functions with no facts
+// that are trusted not to allocate, by full name, where the rest of
+// their package may: the fixed-width byte-order accessors of
+// encoding/binary, which only index the slice they are given.
+var allocFreeStdlibFuncs = map[string]bool{
+	"(encoding/binary.bigEndian).Uint16":    true,
+	"(encoding/binary.bigEndian).Uint32":    true,
+	"(encoding/binary.bigEndian).PutUint16": true,
+	"(encoding/binary.bigEndian).PutUint32": true,
+}
+
 // allocFreeBuiltins are the builtin calls legal in an allocfree body.
 // append is handled by its own evidence rule; make and new are alloc
 // sites.
@@ -130,7 +141,7 @@ func runAllocFree(pass *analysis.Pass) (any, error) {
 		if pkg == nil {
 			return "", true // universe scope (error methods etc.)
 		}
-		if allocFreeStdlib[pkg.Path()] {
+		if allocFreeStdlib[pkg.Path()] || allocFreeStdlibFuncs[callee.FullName()] {
 			return "", true
 		}
 		if fact, ok := pass.DepFunctionFact(callee); ok {

@@ -171,7 +171,9 @@ func funcDeclsByObject(pass *analysis.Pass) map[*ast.FuncDecl]*ast.File {
 // *types.Func: a named function or a method called through a concrete
 // (non-interface) receiver. It returns nil for builtins, conversions,
 // func values, and interface-method calls — the dynamic cases that have
-// no single static body to consult.
+// no single static body to consult. A method of an instantiated generic
+// type resolves to its generic declaration, the body (and the facts)
+// every instantiation shares.
 func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -190,6 +192,9 @@ func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 	if fn == nil {
 		fn, _ = pass.TypesInfo.Defs[id].(*types.Func)
+	}
+	if fn != nil {
+		fn = fn.Origin()
 	}
 	return fn
 }

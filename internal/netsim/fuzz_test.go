@@ -15,8 +15,8 @@ func FuzzUnmarshalIPv4(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, n, err := UnmarshalIPv4(data)
 		if err != nil {
-			if h != nil || n != 0 {
-				t.Fatalf("error with non-zero result: %v %d", h, n)
+			if h.Options != nil || h.TotalLen != 0 || n != 0 {
+				t.Fatalf("error with non-zero result: %+v %d", h, n)
 			}
 			return
 		}

@@ -31,7 +31,8 @@ var (
 	ErrLengthField  = errors.New("netsim: total-length field inconsistent")
 )
 
-// IPv4Header is the decoded header of one simulated packet.
+// IPv4Header is the decoded header of one simulated packet. A decoded
+// header is a value: its Options alias the decoded bytes.
 type IPv4Header struct {
 	TotalLen uint16 // header + payload bytes
 	ID       uint16
@@ -39,7 +40,7 @@ type IPv4Header struct {
 	Protocol uint8
 	SrcIP    uint32
 	DstIP    uint32
-	Options  []byte // raw options field, 32-bit aligned
+	Options  []byte // raw options field, 32-bit aligned; nil when absent
 }
 
 // HeaderLen returns the encoded header length in bytes.
@@ -51,15 +52,20 @@ func (h *IPv4Header) Marshal() ([]byte, error) { return h.MarshalAppend(nil) }
 // MarshalAppend encodes the header onto the end of buf and returns the
 // extended slice — the allocation-free path for pooled frames, which
 // reuse a recycled frame's Header capacity.
+//
+//saisvet:allocfree
 func (h *IPv4Header) MarshalAppend(buf []byte) ([]byte, error) {
 	if len(h.Options) > maxOptionsLen {
+		//lint:alloc rejection of a malformed header builds its error
 		return nil, fmt.Errorf("%w: %d bytes", ErrOptionsLong, len(h.Options))
 	}
 	if len(h.Options)%4 != 0 {
+		//lint:alloc rejection of a malformed header builds its error
 		return nil, fmt.Errorf("%w: %d bytes", ErrOptionsAlign, len(h.Options))
 	}
 	hlen := h.HeaderLen()
 	if int(h.TotalLen) < hlen {
+		//lint:alloc rejection of a malformed header builds its error
 		return nil, fmt.Errorf("%w: total %d < header %d", ErrLengthField, h.TotalLen, hlen)
 	}
 	start := len(buf)
@@ -80,26 +86,32 @@ func (h *IPv4Header) MarshalAppend(buf []byte) ([]byte, error) {
 }
 
 // UnmarshalIPv4 decodes and validates a header from wire bytes,
-// returning the header and the number of bytes it occupied.
-func UnmarshalIPv4(b []byte) (*IPv4Header, int, error) {
+// returning the header and the number of bytes it occupied. The
+// header's Options alias b (no copy), so they are valid only while b
+// is. On error the header is zero and the length 0.
+//
+//saisvet:allocfree
+func UnmarshalIPv4(b []byte) (IPv4Header, int, error) {
 	if len(b) < minHeaderLen {
-		return nil, 0, ErrShortHeader
+		return IPv4Header{}, 0, ErrShortHeader
 	}
 	if b[0]>>4 != ipVersion {
-		return nil, 0, fmt.Errorf("%w: version %d", ErrBadVersion, b[0]>>4)
+		//lint:alloc rejection of a malformed header builds its error; valid traffic never reaches here
+		return IPv4Header{}, 0, fmt.Errorf("%w: version %d", ErrBadVersion, b[0]>>4)
 	}
 	ihl := int(b[0] & 0x0f)
 	if ihl < minIHL || ihl > maxIHL {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadIHL, ihl)
+		//lint:alloc rejection of a malformed header builds its error; valid traffic never reaches here
+		return IPv4Header{}, 0, fmt.Errorf("%w: %d", ErrBadIHL, ihl)
 	}
 	hlen := ihl * 4
 	if len(b) < hlen {
-		return nil, 0, ErrShortHeader
+		return IPv4Header{}, 0, ErrShortHeader
 	}
 	if checksum(b[:hlen]) != 0 {
-		return nil, 0, ErrBadChecksum
+		return IPv4Header{}, 0, ErrBadChecksum
 	}
-	h := &IPv4Header{
+	h := IPv4Header{
 		TotalLen: binary.BigEndian.Uint16(b[2:]),
 		ID:       binary.BigEndian.Uint16(b[4:]),
 		TTL:      b[8],
@@ -108,16 +120,19 @@ func UnmarshalIPv4(b []byte) (*IPv4Header, int, error) {
 		DstIP:    binary.BigEndian.Uint32(b[16:]),
 	}
 	if int(h.TotalLen) < hlen {
-		return nil, 0, fmt.Errorf("%w: total %d < header %d", ErrLengthField, h.TotalLen, hlen)
+		//lint:alloc rejection of a malformed header builds its error; valid traffic never reaches here
+		return IPv4Header{}, 0, fmt.Errorf("%w: total %d < header %d", ErrLengthField, h.TotalLen, hlen)
 	}
 	if hlen > minHeaderLen {
-		h.Options = append([]byte(nil), b[minHeaderLen:hlen]...)
+		h.Options = b[minHeaderLen:hlen:hlen]
 	}
 	return h, hlen, nil
 }
 
 // checksum computes the RFC 1071 ones-complement sum of b. Computing it
 // over a header whose checksum field holds the correct value yields 0.
+//
+//saisvet:allocfree
 func checksum(b []byte) uint16 {
 	var sum uint32
 	for i := 0; i+1 < len(b); i += 2 {

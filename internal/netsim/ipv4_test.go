@@ -146,10 +146,10 @@ func TestUnmarshalRobustOnRandomBytes(t *testing.T) {
 		}()
 		h, n, err := UnmarshalIPv4(raw)
 		if err != nil {
-			return h == nil && n == 0
+			return h.Options == nil && h.TotalLen == 0 && n == 0
 		}
 		// An accidental success must at least be self-consistent.
-		return h != nil && n >= minHeaderLen && n <= len(raw)
+		return n >= minHeaderLen && n <= len(raw) && n == minHeaderLen+len(h.Options)
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Error(err)

@@ -415,7 +415,12 @@ func BenchmarkFrameDelivery(b *testing.B) {
 	rx := NewNIC(eng, 2, DefaultNICConfig(3*units.Gigabit))
 	fab.Attach(tx)
 	fab.Attach(rx)
-	rx.SetInterruptHandler(func(units.Time) { rx.Drain() })
+	rx.SetInterruptHandler(func(units.Time) {
+		for _, f := range rx.Drain() {
+			rx.Free(f)
+		}
+	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx.Send(2, 64*units.KiB, Hint(3), nil)
@@ -429,14 +434,62 @@ func BenchmarkFrameDelivery(b *testing.B) {
 func BenchmarkHeaderRoundTrip(b *testing.B) {
 	opts, _ := Hint(11).OptionsBytes()
 	h := IPv4Header{TotalLen: 1500, TTL: 64, Protocol: 6, Options: opts}
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf, err := h.Marshal()
+		var err error
+		buf, err = h.MarshalAppend(buf[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := UnmarshalIPv4(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFrameAndHeaderPathsAllocFree checks that decoding a header with
+// the aff_core_id option, and a frame's whole trip (send, fabric,
+// deliver, free), allocate nothing once the frame pool is warm.
+func TestFrameAndHeaderPathsAllocFree(t *testing.T) {
+	opts, _ := Hint(11).OptionsBytes()
+	h := IPv4Header{TotalLen: 1500, TTL: 64, Protocol: 6, Options: opts}
+	wire, err := h.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hint AffHint
+	decode := func() {
+		got, _, _ := UnmarshalIPv4(wire)
+		hint = ParseOptions(got.Options)
+	}
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Errorf("IPv4 decode allocates %v times", allocs)
+	}
+	if !hint.Valid || hint.Core != 11 {
+		t.Errorf("decoded hint = %v, want core 11", hint)
+	}
+
+	eng, tx, rx := testNet(t, 10*units.Microsecond, DefaultNICConfig(units.Gigabit), DefaultNICConfig(units.Gigabit))
+	got := 0
+	rx.SetInterruptHandler(func(units.Time) {
+		for _, f := range rx.Drain() {
+			if ParseHint(f).Core == 3 {
+				got++
+			}
+			rx.Free(f)
+		}
+	})
+	trip := func() {
+		tx.Send(2, 64*units.KiB, Hint(3), nil)
+		tx.Send(2, 64*units.KiB, Hint(3), nil)
+		eng.RunUntilIdle()
+	}
+	if allocs := testing.AllocsPerRun(100, trip); allocs != 0 {
+		t.Errorf("frame send-to-free allocates %v times", allocs)
+	}
+	if got != 2*101 {
+		t.Errorf("delivered %d hinted frames, want %d", got, 2*101)
 	}
 }
 

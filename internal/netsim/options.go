@@ -37,8 +37,11 @@ const (
 
 // EncodeAffOption packs aff_core_id into the single-byte IP option of
 // Figure 4 (copied=1, class=1, number=core).
+//
+//saisvet:allocfree
 func EncodeAffOption(core int) (byte, error) {
 	if core < 0 || core >= MaxCores {
+		//lint:alloc rejection of an out-of-range core builds its error
 		return 0, fmt.Errorf("%w: %d", ErrCoreRange, core)
 	}
 	return headerByte | byte(core), nil
@@ -47,10 +50,21 @@ func EncodeAffOption(core int) (byte, error) {
 // DecodeAffOption extracts aff_core_id from an option byte, validating
 // the copied and class sub-fields.
 func DecodeAffOption(b byte) (int, error) {
-	if b&headerCheck != headerByte {
+	core, ok := affCore(b)
+	if !ok {
 		return 0, fmt.Errorf("%w: %#02x", ErrNotAffHint, b)
 	}
-	return int(b & numberMask), nil
+	return core, nil
+}
+
+// affCore is DecodeAffOption without the error value.
+//
+//saisvet:allocfree
+func affCore(b byte) (int, bool) {
+	if b&headerCheck != headerByte {
+		return 0, false
+	}
+	return int(b & numberMask), true
 }
 
 // AffHint is the parsed affinity hint carried by a packet. The zero
@@ -92,12 +106,14 @@ func (h AffHint) OptionsBytes() ([]byte, error) {
 // options are skipped per RFC 791 (single-byte options only in this
 // model); a malformed field yields no hint rather than an error, as a
 // driver must tolerate arbitrary traffic.
+//
+//saisvet:allocfree
 func ParseOptions(opts []byte) AffHint {
 	for _, b := range opts {
 		if b == optionEOL {
 			break
 		}
-		if core, err := DecodeAffOption(b); err == nil {
+		if core, ok := affCore(b); ok {
 			return Hint(core)
 		}
 	}

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,41 @@ func TestExtentsErrors(t *testing.T) {
 	}
 	if _, err := (Layout{}).Extents(0, 10); err == nil {
 		t.Error("invalid layout accepted")
+	}
+}
+
+// TestAppendExtentsReusesBuffer maps random ranges into one buffer kept
+// across calls, whose plans still hold earlier pieces: every result must
+// equal a fresh mapping, and once grown the buffer must take no further
+// allocation.
+func TestAppendExtentsReusesBuffer(t *testing.T) {
+	r := rng.New(5)
+	var buf []ServerPlan
+	for i := 0; i < 300; i++ {
+		l := testLayout(r.Intn(8) + 1)
+		offset := units.Bytes(r.Int63n(int64(4 * units.MiB)))
+		length := units.Bytes(r.Int63n(int64(units.MiB))) + 1
+		want, err := l.Extents(offset, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err = l.AppendExtents(buf[:0], offset, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(buf, want) {
+			t.Fatalf("reused buffer gave %+v, want %+v", buf, want)
+		}
+	}
+
+	l := testLayout(48)
+	var off units.Bytes
+	next := func() {
+		buf, _ = l.AppendExtents(buf[:0], off, units.MiB)
+		off = (off + units.MiB) % (64 * units.MiB)
+	}
+	if allocs := testing.AllocsPerRun(100, next); allocs != 0 {
+		t.Errorf("AppendExtents into a reused buffer allocates %v times", allocs)
 	}
 }
 

@@ -26,7 +26,9 @@ type PageCache struct {
 	head, tail *pageEntry
 	// inflight tracks windows being read from disk; arrivals during the
 	// read queue as waiters rather than issuing duplicate disk I/O.
-	inflight map[pageKey][]sim.Event
+	// Finished fill records are kept in freeFills for the next miss.
+	inflight  map[pageKey]*fill
+	freeFills []*fill
 
 	hits, misses, merged uint64
 }
@@ -41,6 +43,19 @@ type pageEntry struct {
 	prev, next *pageEntry
 }
 
+// fill is one window's disk read in flight and the waiters it will
+// wake. landed is f.land, bound when the record is created.
+type fill struct {
+	c       *PageCache
+	key     pageKey
+	waiters []sim.Event
+	landed  sim.Event
+}
+
+// Fetcher performs the disk read of window win of file on a true miss,
+// calling done once the bytes are in memory.
+type Fetcher func(file FileID, win int64, done sim.Event)
+
 // NewPageCache builds a cache of capacity bytes with the given
 // readahead window. A zero or negative capacity disables caching
 // (every Get is a miss and nothing is stored).
@@ -53,7 +68,7 @@ func NewPageCache(eng *sim.Engine, capacity, window units.Bytes) *PageCache {
 		capacity: capacity,
 		window:   window,
 		entries:  make(map[pageKey]*pageEntry),
-		inflight: make(map[pageKey][]sim.Event),
+		inflight: make(map[pageKey]*fill),
 	}
 }
 
@@ -85,7 +100,9 @@ func (c *PageCache) WindowExtent(win int64) (offset, size units.Bytes) {
 // resident (immediately on a hit). fetch is invoked on a true miss and
 // must perform the disk read, calling the provided completion when the
 // bytes are in memory; the cache fires every queued waiter then.
-func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch func(done sim.Event)) {
+//
+//saisvet:allocfree
+func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch Fetcher) {
 	key := pageKey{file: file, win: win}
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -93,21 +110,52 @@ func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch func(done
 		c.eng.Immediately(ready)
 		return
 	}
-	if waiters, ok := c.inflight[key]; ok {
+	if fl, ok := c.inflight[key]; ok {
 		c.merged++
-		c.inflight[key] = append(waiters, ready)
+		fl.waiters = append(fl.waiters, ready)
 		return
 	}
 	c.misses++
-	c.inflight[key] = []sim.Event{ready}
-	fetch(func(now units.Time) {
-		c.install(key)
-		waiters := c.inflight[key]
-		delete(c.inflight, key)
-		for _, w := range waiters {
-			w(now)
-		}
-	})
+	fl := c.newFill(key)
+	fl.waiters = append(fl.waiters, ready)
+	c.inflight[key] = fl
+	//lint:alloc the caller's disk-read hook: its allocations belong to the disk path's budget
+	fetch(file, win, fl.landed)
+}
+
+// newFill returns a recycled (or fresh) fill record for key.
+//
+//saisvet:allocfree
+func (c *PageCache) newFill(key pageKey) *fill {
+	if n := len(c.freeFills); n > 0 {
+		fl := c.freeFills[n-1]
+		c.freeFills = c.freeFills[:n-1]
+		fl.key = key
+		return fl
+	}
+	//lint:alloc pool growth to the peak number of windows in flight
+	return newFill(c, key)
+}
+
+func newFill(c *PageCache, key pageKey) *fill {
+	fl := &fill{c: c, key: key}
+	fl.landed = fl.land
+	return fl
+}
+
+// land installs the window and wakes every waiter, then recycles the
+// record. A waiter may start new fills (never this one: it is recycled
+// only after the last waiter returns).
+func (fl *fill) land(now units.Time) {
+	c := fl.c
+	c.install(fl.key)
+	delete(c.inflight, fl.key)
+	for i, w := range fl.waiters {
+		fl.waiters[i] = nil
+		w(now)
+	}
+	fl.waiters = fl.waiters[:0]
+	c.freeFills = append(c.freeFills, fl)
 }
 
 // Put marks window win of file resident without disk I/O — the

@@ -15,8 +15,8 @@ func newCache(capacity units.Bytes) (*sim.Engine, *PageCache) {
 }
 
 // fetchAfter returns a fetch function that completes after d.
-func fetchAfter(eng *sim.Engine, d units.Time, count *int) func(sim.Event) {
-	return func(done sim.Event) {
+func fetchAfter(eng *sim.Engine, d units.Time, count *int) Fetcher {
+	return func(_ FileID, _ int64, done sim.Event) {
 		*count++
 		eng.After(d, done)
 	}
@@ -146,7 +146,7 @@ func TestPageCacheInvariantsProperty(t *testing.T) {
 			d := units.Time(r.Intn(50)) * units.Microsecond
 			eng.At(at, func(units.Time) {
 				requests++
-				pc.Get(file, win, func(units.Time) {}, func(done sim.Event) {
+				pc.Get(file, win, func(units.Time) {}, func(_ FileID, _ int64, done sim.Event) {
 					eng.After(d, done)
 				})
 			})
@@ -169,7 +169,7 @@ func BenchmarkPageCacheGet(b *testing.B) {
 	eng := sim.NewEngine()
 	pc := NewPageCache(eng, units.GiB, 256*units.KiB)
 	noop := func(units.Time) {}
-	fetch := func(done sim.Event) { eng.Immediately(done) }
+	fetch := func(_ FileID, _ int64, done sim.Event) { eng.Immediately(done) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc.Get(FileID(i%4), int64(i%512), noop, fetch)

@@ -9,21 +9,31 @@ import "sais/internal/units"
 // The service time of each job is fixed at submission, which is the
 // right model for store-and-forward hardware; jobs whose cost depends on
 // state at dispatch should use SubmitFunc.
+//
+// Each job schedules exactly one engine event, at its finish time,
+// through one callback bound at construction; the job's done callback
+// waits in a per-server FIFO. Finish times never decrease in submission
+// order, and the engine fires equal-time events in scheduling order, so
+// the FIFO front is always the job whose event is firing.
 type Server struct {
-	eng     *Engine
-	busyTo  units.Time
-	queue   int
-	maxQ    int
-	busy    units.Time // accumulated busy time
-	served  uint64
-	waited  units.Time // accumulated queueing delay
-	nameTag string
+	eng      *Engine
+	complete Event // s.finish, bound once
+	dones    Ring[Event]
+	busyTo   units.Time
+	queue    int
+	maxQ     int
+	busy     units.Time // accumulated busy time
+	served   uint64
+	waited   units.Time // accumulated queueing delay
+	nameTag  string
 }
 
 // NewServer returns an idle FIFO server bound to eng. name is used only
 // for diagnostics.
 func NewServer(eng *Engine, name string) *Server {
-	return &Server{eng: eng, nameTag: name}
+	s := &Server{eng: eng, nameTag: name}
+	s.complete = s.finish
+	return s
 }
 
 // Name returns the diagnostic name.
@@ -50,27 +60,15 @@ func (s *Server) Served() uint64 { return s.served }
 
 // Submit enqueues a job taking cost time; done (optional) runs when the
 // job completes. It returns the completion time.
+//
+//saisvet:allocfree
 func (s *Server) Submit(cost units.Time, done Event) units.Time {
-	return s.SubmitFunc(func(units.Time) units.Time { return cost }, done)
-}
-
-// SubmitFunc enqueues a job whose cost is computed at dispatch time by
-// costAt (receiving the dispatch instant). done (optional) runs at
-// completion. It returns the completion time assuming costAt is
-// deterministic at the time of the call; for state-dependent costs the
-// returned value is the scheduled completion of this job given current
-// queue contents.
-func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time {
 	now := s.eng.Now()
-	start := s.busyTo
-	if start < now {
-		start = now
-	}
+	start := s.Drain()
 	s.queue++
 	if s.queue > s.maxQ {
 		s.maxQ = s.queue
 	}
-	cost := costAt(start)
 	if cost < 0 {
 		cost = 0
 	}
@@ -78,17 +76,34 @@ func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) unit
 	s.busyTo = finish
 	s.busy += cost
 	s.waited += start - now
-	s.eng.At(finish, func(t units.Time) {
-		s.queue--
-		s.served++
-		if done != nil {
-			done(t)
-		}
-	})
+	s.dones.PushBack(done)
+	s.eng.At(finish, s.complete)
 	return finish
 }
 
-// Drain returns the time at which all currently queued work completes.
+// SubmitFunc enqueues a job whose cost is computed at dispatch time by
+// costAt (receiving the dispatch instant, which is Drain's value now).
+// done (optional) runs at completion. It returns the completion time.
+func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time {
+	return s.Submit(costAt(s.Drain()), done)
+}
+
+// finish completes the oldest job.
+//
+//saisvet:allocfree
+func (s *Server) finish(now units.Time) {
+	s.queue--
+	s.served++
+	if done := s.dones.PopFront(); done != nil {
+		//lint:alloc job-completion callback: its allocations belong to the submitter's budget
+		done(now)
+	}
+}
+
+// Drain returns the time at which all currently queued work completes,
+// which is when a job submitted now would start.
+//
+//saisvet:allocfree
 func (s *Server) Drain() units.Time {
 	if s.busyTo < s.eng.Now() {
 		return s.eng.Now()

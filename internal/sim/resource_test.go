@@ -130,3 +130,53 @@ func TestBusy(t *testing.T) {
 	})
 	e.RunUntilIdle()
 }
+
+// TestServerSubmitAllocFree checks that a job's submit and completion
+// allocate nothing in steady state.
+func TestServerSubmitAllocFree(t *testing.T) {
+	e := NewEngine()
+	s := NewServer(e, "x")
+	n := 0
+	done := func(units.Time) { n++ }
+	cycle := func() {
+		s.Submit(10, done)
+		s.Submit(5, nil)
+		s.Submit(0, done)
+		e.RunUntilIdle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("submit/complete allocates %v times", allocs)
+	}
+	if n != 2*101 || s.Served() != 3*101 {
+		t.Errorf("done ran %d times, served %d", n, s.Served())
+	}
+}
+
+// TestServerCompletesInSubmissionOrder checks that each completion runs
+// its own job's callback, including zero-cost jobs finishing at the
+// same instant as the job ahead of them.
+func TestServerCompletesInSubmissionOrder(t *testing.T) {
+	e := NewEngine()
+	s := NewServer(e, "x")
+	var order []int
+	var times []units.Time
+	job := func(id int) Event {
+		return func(now units.Time) {
+			order = append(order, id)
+			times = append(times, now)
+		}
+	}
+	e.At(0, func(units.Time) {
+		s.Submit(10, job(1))
+		s.Submit(0, job(2))
+		s.Submit(5, job(3))
+	})
+	e.At(10, func(units.Time) { s.Submit(0, job(4)) })
+	e.RunUntilIdle()
+	if len(order) != 4 || order[0] != 1 || order[1] != 2 || order[2] != 3 || order[3] != 4 {
+		t.Errorf("completion order = %v, want [1 2 3 4]", order)
+	}
+	if len(times) != 4 || times[0] != 10 || times[1] != 10 || times[2] != 15 || times[3] != 15 {
+		t.Errorf("completion times = %v, want [10 10 15 15]", times)
+	}
+}
