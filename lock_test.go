@@ -22,7 +22,10 @@ import (
 
 // The behaviour lock: SHA-256 digests of every committed scenario's
 // Result JSON (on one engine and on four shards), of both policies of
-// every Figure 5 cell at 48 servers, and of one Chrome trace. A change
+// every Figure 5 cell at 48 servers, of one Chrome trace, and of the CSV
+// output of the four studies that configure faults (the policy matrix,
+// the loss-rate sweep, crash-and-recover and graceful degradation) at
+// their default settings. A change
 // meant only to restructure or speed up the simulator must leave every
 // digest unchanged; a change that is meant to alter model output
 // re-records the file (go test -run TestBehaviourLock -update-lock .)
@@ -105,6 +108,23 @@ func lockDigests(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	got["chrome/healthy-baseline"] = sha(buf.Bytes())
+
+	studies := []struct {
+		name string
+		run  func() (interface{ CSV() string }, error)
+	}{
+		{"policymatrix", func() (interface{ CSV() string }, error) { return experiments.PolicyMatrix().Run() }},
+		{"degraded", func() (interface{ CSV() string }, error) { return experiments.Degraded().Run() }},
+		{"chaos", func() (interface{ CSV() string }, error) { return experiments.CrashAndRecover().Run() }},
+		{"graceful", func() (interface{ CSV() string }, error) { return experiments.GracefulDegradation().Run() }},
+	}
+	for _, st := range studies {
+		rep, err := st.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["study/"+st.name] = sha([]byte(rep.CSV()))
+	}
 	return got
 }
 
