@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test race race-short bench bench-record bench-check experiments figures chaos policymatrix scenarios chaos-soak cover clean
+.PHONY: all build vet lint lint-fixtures test perfbench-test race race-short bench bench-record bench-check experiments figures chaos policymatrix scenarios chaos-soak cover clean
 
-all: build vet lint test race-short scenarios bench-check
+all: build vet lint test perfbench-test race-short scenarios bench-check
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,11 @@ lint-fixtures:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (replace sais => ../), so the root build
+# and test never compile it: vet it and run its self-tests here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full race-detector pass over every package (slow).
 race:

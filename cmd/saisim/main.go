@@ -81,14 +81,6 @@ func main() {
 		saveConfig = flag.String("save-config", "", "write the effective configuration to a JSON file")
 		timeout    = flag.Duration("timeout", 0, "abort the simulation after this long of wall-clock time (0 = no limit)")
 
-		faultPlan  = flag.String("fault-plan", "", "load a fault plan (JSON, see internal/faults) and apply it to the run")
-		loss       = flag.Float64("loss", 0, "frame loss probability on the fabric [0,1); implies degraded mode")
-		crashSrv   = flag.Int("crash", 0, "server index to crash (with -crash-at/-revive-at)")
-		crashAt    = flag.Duration("crash-at", 0, "crash -crash server at this simulated time (0 = no crash)")
-		reviveAt   = flag.Duration("revive-at", 0, "revive the crashed server at this simulated time (0 = stays down)")
-		retry      = flag.Duration("retry", 0, "client retry timeout for lost transfers (0 = retries off)")
-		maxRetries = flag.Int("max-retries", 0, "retries per transfer before abandoning it")
-
 		bgUsers    = flag.Int("background-users", 0, "analytic background users sharing the cluster (hybrid-fidelity mode, see DESIGN.md §14)")
 		fgClients  = flag.Int("foreground-clients", 0, "full-fidelity foreground client nodes (overrides -clients when set)")
 		tenantMix  = flag.String("tenant-mix", "", "tenant mix as inline JSON (starts with '[') or a path to a JSON file; default: one constant-rate tenant")
@@ -101,6 +93,8 @@ func main() {
 		shardsN    = flag.Int("shards", 0, "partition the cluster over this many event engines (0/1 = single engine; results are identical for any value)")
 		workersN   = flag.Int("workers", 0, "goroutines driving the shards (clamped to the shard count)")
 	)
+	var ff faultFlags
+	ff.register(flag.CommandLine)
 	flag.Parse()
 
 	var err error
@@ -182,35 +176,8 @@ func main() {
 		}}
 	}
 
-	if *faultPlan != "" {
-		plan, err := faults.LoadPlan(*faultPlan)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Faults = plan
-	}
-	if *loss > 0 {
-		if cfg.Faults == nil {
-			cfg.Faults = &faults.Plan{}
-		}
-		cfg.Faults.Loss = *loss
-	}
-	if *crashAt > 0 {
-		if cfg.Faults == nil {
-			cfg.Faults = &faults.Plan{}
-		}
-		cfg.Faults.Timeline = append(cfg.Faults.Timeline,
-			faults.TimelineEvent{At: units.Time(crashAt.Nanoseconds()), Kind: faults.KindCrash, Server: *crashSrv})
-		if *reviveAt > 0 {
-			cfg.Faults.Timeline = append(cfg.Faults.Timeline,
-				faults.TimelineEvent{At: units.Time(reviveAt.Nanoseconds()), Kind: faults.KindRevive, Server: *crashSrv})
-		}
-	}
-	if *retry > 0 {
-		cfg.RetryTimeout = units.Time(retry.Nanoseconds())
-	}
-	if *maxRetries > 0 {
-		cfg.MaxRetries = *maxRetries
+	if err := ff.apply(&cfg); err != nil {
+		fatal(err)
 	}
 
 	if *saveConfig != "" {
@@ -324,6 +291,67 @@ func main() {
 		os.Exit(1)
 	}
 	exitIfFaulted(res)
+}
+
+// faultFlags are the command line's fault and retry shorthands; apply
+// turns them into the config's fault plan and retry settings.
+type faultFlags struct {
+	plan       string
+	loss       float64
+	crash      int
+	crashAt    time.Duration
+	reviveAt   time.Duration
+	retry      time.Duration
+	maxRetries int
+}
+
+func (f *faultFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.plan, "fault-plan", "", "load a fault plan (JSON, see internal/faults) and apply it to the run")
+	fs.Float64Var(&f.loss, "loss", 0, "frame loss probability on the fabric [0,1); implies degraded mode")
+	fs.IntVar(&f.crash, "crash", 0, "server index to crash (with -crash-at/-revive-at)")
+	fs.DurationVar(&f.crashAt, "crash-at", 0, "crash -crash server at this simulated time (0 = no crash)")
+	fs.DurationVar(&f.reviveAt, "revive-at", 0, "revive the crashed server at this simulated time (0 = stays down)")
+	fs.DurationVar(&f.retry, "retry", 0, "client retry timeout for lost transfers (0 = retries off)")
+	fs.IntVar(&f.maxRetries, "max-retries", 0, "retries per transfer before abandoning it")
+}
+
+// apply writes the flags into cfg: -fault-plan replaces cfg.Faults,
+// and the shorthands are applied on top of it. Any nonzero value
+// passes through, so a negative one reaches cfg.Validate and is
+// rejected there rather than silently ignored.
+func (f *faultFlags) apply(cfg *cluster.Config) error {
+	if f.plan != "" {
+		plan, err := faults.LoadPlan(f.plan)
+		if err != nil {
+			return err
+		}
+		cfg.Faults = plan
+	}
+	plan := cfg.Faults
+	if plan == nil {
+		plan = &faults.Plan{}
+	}
+	if f.loss != 0 {
+		plan.Loss = f.loss
+	}
+	if f.crashAt != 0 {
+		plan.Timeline = append(plan.Timeline,
+			faults.TimelineEvent{At: units.Time(f.crashAt.Nanoseconds()), Kind: faults.KindCrash, Server: f.crash})
+	}
+	if f.reviveAt != 0 {
+		plan.Timeline = append(plan.Timeline,
+			faults.TimelineEvent{At: units.Time(f.reviveAt.Nanoseconds()), Kind: faults.KindRevive, Server: f.crash})
+	}
+	if !plan.Empty() {
+		cfg.Faults = plan
+	}
+	if f.retry != 0 {
+		cfg.RetryTimeout = units.Time(f.retry.Nanoseconds())
+	}
+	if f.maxRetries != 0 {
+		cfg.MaxRetries = f.maxRetries
+	}
+	return nil
 }
 
 // exitIfFaulted turns a completed run with abandoned or partial

@@ -11,20 +11,15 @@ import (
 	"sais/internal/units"
 )
 
-// Target is the built cluster an Injector arms against.
-//
-// Single-engine runs fill Engine and Fabric only. Sharded runs
-// (cluster.Config.Shards > 1) additionally list every shard's engine
-// and fabric — index-aligned, with Engines[0]/Fabrics[0] hosting the
-// timeline clock and the storm ghost NIC — and supply ServerEngine so
-// crash/revive events fire on the engine the target server lives on.
+// Target is the built cluster an Injector arms against. Engines and
+// Fabrics list every shard's engine and fabric, index-aligned (length
+// 1 on a single-engine run), with Engines[0]/Fabrics[0] hosting the
+// timeline clock and the storm ghost NIC.
 type Target struct {
-	Engine  *sim.Engine
-	Fabric  *netsim.Fabric
 	Engines []*sim.Engine
 	Fabrics []*netsim.Fabric
-	// ServerEngine returns the engine server i runs on; nil means
-	// every server shares Engine.
+	// ServerEngine returns the engine server i runs on, so crash/revive
+	// events fire on that server's shard.
 	ServerEngine func(i int) *sim.Engine
 	Servers      []*pfs.Server
 	// Clients are the fabric ids of the client nodes, for storms.
@@ -36,22 +31,6 @@ type Target struct {
 	// sub-streams from it so arming order never perturbs other
 	// components' draws.
 	Rand *rng.Source
-}
-
-// engines returns the full engine list (falling back to the single
-// Engine), and fabrics likewise.
-func (t *Target) engines() []*sim.Engine {
-	if len(t.Engines) > 0 {
-		return t.Engines
-	}
-	return []*sim.Engine{t.Engine}
-}
-
-func (t *Target) fabrics() []*netsim.Fabric {
-	if len(t.Fabrics) > 0 {
-		return t.Fabrics
-	}
-	return []*netsim.Fabric{t.Fabric}
 }
 
 // Stats counts what the injector actually did to the run.
@@ -116,7 +95,6 @@ func (p *Plan) Arm(t Target) (*Injector, error) {
 	n := len(t.Servers)
 	inj := &Injector{
 		plan:       p,
-		eng:        t.Engine,
 		srvs:       t.Servers,
 		down:       make([]bool, n),
 		downSince:  make([]units.Time, n),
@@ -127,15 +105,11 @@ func (p *Plan) Arm(t Target) (*Injector, error) {
 	if p.Empty() {
 		return inj, nil
 	}
-	engines, fabrics := t.engines(), t.fabrics()
-	if len(engines) == 0 || engines[0] == nil || len(fabrics) == 0 || fabrics[0] == nil {
-		return nil, fmt.Errorf("faults: Arm needs an engine and a fabric")
+	engines, fabrics := t.Engines, t.Fabrics
+	if len(engines) == 0 || engines[0] == nil || len(fabrics) == 0 || fabrics[0] == nil || t.ServerEngine == nil {
+		return nil, fmt.Errorf("faults: Arm needs an engine, a fabric and a server-engine map")
 	}
 	inj.eng = engines[0]
-	serverEngine := t.ServerEngine
-	if serverEngine == nil {
-		serverEngine = func(int) *sim.Engine { return engines[0] }
-	}
 	if err := p.Validate(len(t.Servers), len(t.Clients)); err != nil {
 		return nil, err
 	}
@@ -189,10 +163,10 @@ func (p *Plan) Arm(t Target) (*Injector, error) {
 		switch ev.Kind {
 		case KindCrash:
 			srv := ev.Server
-			serverEngine(srv).At(ev.At, func(now units.Time) { inj.crash(srv, now) })
+			t.ServerEngine(srv).At(ev.At, func(now units.Time) { inj.crash(srv, now) })
 		case KindRevive:
 			srv := ev.Server
-			serverEngine(srv).At(ev.At, func(now units.Time) { inj.revive(srv, now) })
+			t.ServerEngine(srv).At(ev.At, func(now units.Time) { inj.revive(srv, now) })
 		case KindDegradeLink:
 			// Factors below 1 are rejected uniformly by Plan.Validate
 			// above, so the sharded executor's lookahead is always safe.

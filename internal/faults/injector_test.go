@@ -39,12 +39,13 @@ func newRig(t testing.TB, servers int) *rig {
 
 func (r *rig) target(rand *rng.Source) Target {
 	return Target{
-		Engine:    r.eng,
-		Fabric:    r.fab,
-		Servers:   r.srvs,
-		Clients:   []netsim.NodeID{1},
-		StormNode: 200,
-		Rand:      rand,
+		Engines:      []*sim.Engine{r.eng},
+		Fabrics:      []*netsim.Fabric{r.fab},
+		ServerEngine: func(int) *sim.Engine { return r.eng },
+		Servers:      r.srvs,
+		Clients:      []netsim.NodeID{1},
+		StormNode:    200,
+		Rand:         rand,
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 //	... c.hook(...)                           // guarded from here on
 //
 // Both forms compose with && chains and with closures declared inside
-// the guarded region (the SubmitFunc pattern). The annotation travels
+// the guarded region (a cost closure built under the guard and called
+// later). The annotation travels
 // as a fact, so a dependent package calling an exported hook field
 // unguarded is flagged too. An unguarded call through a nil hook is a
 // panic on the classic path — precisely the configuration every

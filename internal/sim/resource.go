@@ -7,8 +7,9 @@ import "sais/internal/units"
 // softirq work. Submitting a job while the server is busy queues it.
 //
 // The service time of each job is fixed at submission, which is the
-// right model for store-and-forward hardware; jobs whose cost depends on
-// state at dispatch should use SubmitFunc.
+// right model for store-and-forward hardware; a job whose cost depends
+// on state at dispatch computes it from Drain, the instant it will
+// start.
 //
 // Each job schedules exactly one engine event, at its finish time,
 // through one callback bound at construction; the job's done callback
@@ -79,13 +80,6 @@ func (s *Server) Submit(cost units.Time, done Event) units.Time {
 	s.dones.PushBack(done)
 	s.eng.At(finish, s.complete)
 	return finish
-}
-
-// SubmitFunc enqueues a job whose cost is computed at dispatch time by
-// costAt (receiving the dispatch instant, which is Drain's value now).
-// done (optional) runs at completion. It returns the completion time.
-func (s *Server) SubmitFunc(costAt func(units.Time) units.Time, done Event) units.Time {
-	return s.Submit(costAt(s.Drain()), done)
 }
 
 // finish completes the oldest job.

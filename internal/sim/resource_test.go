@@ -85,20 +85,29 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
-func TestSubmitFuncSeesDispatchTime(t *testing.T) {
+// TestDrainIsDispatchInstant checks that Drain names the instant a job
+// submitted now starts service: the end of queued work on a busy
+// server, the current time on an idle one. Dispatch-time cost hooks
+// (the NIC and pfs service scales) rely on it.
+func TestDrainIsDispatchInstant(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "x")
-	var dispatchAt units.Time = -1
+	var finishedAt units.Time = -1
 	e.At(0, func(units.Time) {
 		s.Submit(25, nil)
-		s.SubmitFunc(func(start units.Time) units.Time {
-			dispatchAt = start
-			return 5
-		}, nil)
+		if got := s.Drain(); got != 25 {
+			t.Errorf("busy Drain = %v, want 25", got)
+		}
+		s.Submit(5, func(now units.Time) { finishedAt = now })
+	})
+	e.At(40, func(now units.Time) {
+		if got := s.Drain(); got != now {
+			t.Errorf("idle Drain = %v, want now (%v)", got, now)
+		}
 	})
 	e.RunUntilIdle()
-	if dispatchAt != 25 {
-		t.Errorf("costAt saw dispatch time %v, want 25", dispatchAt)
+	if finishedAt != 30 {
+		t.Errorf("job queued behind 25 finished at %v, want 30", finishedAt)
 	}
 }
 
@@ -106,7 +115,7 @@ func TestNegativeCostClamped(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "x")
 	e.At(0, func(units.Time) {
-		fin := s.SubmitFunc(func(units.Time) units.Time { return -5 }, nil)
+		fin := s.Submit(-5, nil)
 		if fin != 0 {
 			t.Errorf("negative cost finish = %v, want 0", fin)
 		}

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"sais/cluster"
+	"sais/internal/faults"
 	"sais/internal/irqsched"
 	"sais/internal/runner"
 	"sais/internal/units"
@@ -120,7 +121,7 @@ var setters = map[string]setter{
 		c.ServerNICRate = units.Rate(f) * units.Gigabit
 	}),
 	"migrate":     floatSetter(func(c *cluster.Config, f float64) { c.MigrateDuringBlock = f }),
-	"loss":        floatSetter(func(c *cluster.Config, f float64) { c.LossRate = f }),
+	"loss":        floatSetter(setLoss),
 	"transfer":    bytesSetter(func(c *cluster.Config, b units.Bytes) { c.TransferSize = b }),
 	"strip":       bytesSetter(func(c *cluster.Config, b units.Bytes) { c.StripSize = b }),
 	"bytes":       bytesSetter(func(c *cluster.Config, b units.Bytes) { c.BytesPerProc = b }),
@@ -146,6 +147,17 @@ var setters = map[string]setter{
 		cfg.Costs.RemoteLine = d
 		return nil
 	},
+}
+
+// setLoss writes the loss rate into a plan of the point's own: points
+// run concurrently, so none may write to a plan another point holds.
+func setLoss(c *cluster.Config, f float64) {
+	p := c.Faults.Clone()
+	if p == nil {
+		p = &faults.Plan{}
+	}
+	p.Loss = f
+	c.Faults = p
 }
 
 // Names lists the settable dimension names, sorted.

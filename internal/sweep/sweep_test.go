@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sais/cluster"
+	"sais/internal/faults"
 	"sais/internal/irqsched"
 	"sais/internal/units"
 )
@@ -104,6 +105,33 @@ func TestSettersApplyTypedValues(t *testing.T) {
 	}
 	if err := setters["shared"](&cfg, "maybe"); err == nil {
 		t.Error("bad bool accepted")
+	}
+}
+
+// TestLossPointsOwnTheirPlans checks the loss dimension writes each
+// point's rate into a plan of its own, keeping the base plan's other
+// faults and leaving the base plan untouched.
+func TestLossPointsOwnTheirPlans(t *testing.T) {
+	base := cluster.DefaultConfig()
+	base.Faults = &faults.Plan{Corrupt: 0.01}
+	points, err := Product(base, []Dim{{Name: "loss", Values: []string{"0.1", "0.2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := points[0].Config.Faults, points[1].Config.Faults
+	if a == b || a == base.Faults || b == base.Faults {
+		t.Fatal("loss points share a fault plan")
+	}
+	if a.Loss != 0.1 || b.Loss != 0.2 || a.Corrupt != 0.01 || b.Corrupt != 0.01 {
+		t.Errorf("plans = %+v, %+v", a, b)
+	}
+	if base.Faults.Loss != 0 {
+		t.Errorf("base plan mutated: %+v", base.Faults)
+	}
+	// A loss point on a healthy base gets a fresh plan too.
+	var cfg cluster.Config
+	if err := setters["loss"](&cfg, "0.05"); err != nil || cfg.Faults == nil || cfg.Faults.Loss != 0.05 {
+		t.Errorf("loss on a nil plan: %+v, %v", cfg.Faults, err)
 	}
 }
 
