@@ -10,12 +10,23 @@
 //	experiments -seeds 5     # more repetitions per cell
 //	experiments -parallel 8  # run up to 8 cells concurrently per figure
 //	experiments -timeout 2m  # bound the whole regeneration
+//
+// One study instead of the figures (-list names them all):
+//
 //	experiments -degraded    # latency vs frame loss per policy (faults)
+//	experiments -degraded -loss 0.01  # one loss rate instead of the grid
 //	experiments -chaos       # crash-and-recover scenario per policy
+//	experiments -chaos -crash-at 8ms  # or -fault-plan plan.json
+//	experiments -graceful    # permanent server loss, hard-fail vs deadlines
+//	experiments -noisy       # background load vs foreground strip latency
 //	experiments -policymatrix # strip latency and reordering per policy × workload
 //
+// -seeds and -parallel apply to a study as to a figure. A study
+// modifier (-loss, -crash-at, -fault-plan) without its study is an
+// error.
+//
 // Ctrl-C (SIGINT) cancels in-flight simulations promptly and the
-// figures completed (or partially completed) so far are still printed.
+// figure cells or study rows completed so far are still printed.
 package main
 
 import (
@@ -39,33 +50,106 @@ import (
 // defers) can flush profiles too.
 var profiler *prof.Profiler
 
+// options are the parsed command line.
+type options struct {
+	fig, html, faultPlan   string
+	list, plot, csv        bool
+	seeds, par             int
+	timeout, crashAt       time.Duration
+	loss                   float64
+	cpuProfile, memProfile string
+	studies                map[string]*bool // study ID -> its flag
+}
+
+// newFlags defines the command line on a fresh flag set.
+func newFlags(errorHandling flag.ErrorHandling) (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("experiments", errorHandling)
+	o := &options{studies: map[string]*bool{}}
+	fs.StringVar(&o.fig, "fig", "", "run a single figure by id or number")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.IntVar(&o.seeds, "seeds", 0, "override repetitions per cell (default: per-experiment, ≥3)")
+	fs.BoolVar(&o.plot, "plot", false, "render each figure as an ASCII bar chart too")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV rows instead of tables")
+	fs.StringVar(&o.html, "html", "", "also write a self-contained HTML report to this file")
+	fs.IntVar(&o.par, "parallel", 1, "run up to N cells of each experiment concurrently")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort the run after this long (0 = no limit)")
+	for _, s := range experiments.Studies() {
+		o.studies[s.ID] = fs.Bool(s.ID, false, fmt.Sprintf("run the study %q and exit", s.Title))
+	}
+	fs.StringVar(&o.faultPlan, "fault-plan", "", "with -chaos: load the scenario's fault plan from a JSON file")
+	fs.Float64Var(&o.loss, "loss", 0, "with -degraded: run only this loss rate instead of the default grid")
+	fs.DurationVar(&o.crashAt, "crash-at", 0, "with -chaos: override the crash time (revive stays 30ms later)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	return fs, o
+}
+
+// modifiers maps each study modifier flag to the study it changes.
+var modifiers = []struct{ flag, study string }{
+	{"loss", "degraded"},
+	{"crash-at", "chaos"},
+	{"fault-plan", "chaos"},
+}
+
+// study resolves the study the parsed flags select, with every
+// explicitly set modifier applied, or returns ok false when no study
+// flag is set. A modifier without its study, or two studies at once,
+// is an error.
+func (o *options) study(fs *flag.FlagSet) (s experiments.Study, ok bool, err error) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, st := range experiments.Studies() {
+		if !*o.studies[st.ID] {
+			continue
+		}
+		if ok {
+			return s, false, fmt.Errorf("-%s and -%s are exclusive", s.ID, st.ID)
+		}
+		s, ok = st, true
+	}
+	for _, m := range modifiers {
+		if set[m.flag] && s.ID != m.study {
+			return s, false, fmt.Errorf("-%s needs -%s", m.flag, m.study)
+		}
+	}
+	if set["crash-at"] && set["fault-plan"] {
+		return s, false, errors.New("-crash-at and -fault-plan are exclusive")
+	}
+	if !ok {
+		return s, false, nil
+	}
+	if set["loss"] {
+		s.Points = []experiments.Point{experiments.LossPoint(o.loss)}
+	}
+	if set["crash-at"] {
+		at := units.Time(o.crashAt.Nanoseconds())
+		s.Config.Faults = &faults.Plan{Timeline: []faults.TimelineEvent{
+			{At: at, Kind: faults.KindCrash, Server: 0},
+			{At: at + 30*units.Millisecond, Kind: faults.KindRevive, Server: 0},
+		}}
+		s.Title = fmt.Sprintf("Chaos: crash server 0 at %v, revive 30ms later", o.crashAt)
+	}
+	if set["fault-plan"] {
+		plan, err := faults.LoadPlan(o.faultPlan)
+		if err != nil {
+			return s, false, err
+		}
+		s.Config.Faults = plan
+		s.Title = fmt.Sprintf("Chaos: fault plan %s", o.faultPlan)
+	}
+	if o.seeds > 0 {
+		s.Seeds = o.seeds
+	}
+	s.Parallel = o.par
+	return s, true, nil
+}
+
 func main() {
-	var (
-		fig     = flag.String("fig", "", "run a single figure by id or number")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		seeds   = flag.Int("seeds", 0, "override repetitions per cell (default: per-experiment, ≥3)")
-		plot    = flag.Bool("plot", false, "render each figure as an ASCII bar chart too")
-		csv     = flag.Bool("csv", false, "emit CSV rows instead of tables")
-		html    = flag.String("html", "", "also write a self-contained HTML report to this file")
-		par     = flag.Int("parallel", 1, "run up to N cells of each experiment concurrently")
-		timeout = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-
-		degraded  = flag.Bool("degraded", false, "run the degraded-mode sweep (latency vs loss per policy) and exit")
-		chaos     = flag.Bool("chaos", false, "run the crash-and-recover chaos scenario and exit")
-		graceful  = flag.Bool("graceful", false, "run the graceful-degradation study (permanent server loss, hard-fail vs per-transfer deadlines) and exit")
-		noisy     = flag.Bool("noisy", false, "run the noisy-neighbor study (background load vs foreground strip latency per policy) and exit")
-		matrix    = flag.Bool("policymatrix", false, "run the policy × workload matrix (strip latency percentiles and reordering per registered policy) and exit")
-		faultPlan = flag.String("fault-plan", "", "with -chaos: load the scenario's fault plan from a JSON file")
-		loss      = flag.Float64("loss", 0, "with -degraded: run only this loss rate instead of the default grid")
-		crashAt   = flag.Duration("crash-at", 0, "with -chaos: override the crash time (revive stays 30ms later)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+	fs, o := newFlags(flag.ExitOnError)
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse exits on a bad flag
 
 	var err error
-	profiler, err = prof.Start(*cpuProfile, *memProfile)
+	profiler, err = prof.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -73,120 +157,34 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancelTimeout context.CancelFunc
-		ctx, cancelTimeout = context.WithTimeout(ctx, *timeout)
+		ctx, cancelTimeout = context.WithTimeout(ctx, o.timeout)
 		defer cancelTimeout()
 	}
 
-	if *list {
+	if o.list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
-		fmt.Printf("%-12s %s\n", "-degraded", experiments.Degraded().Title)
-		fmt.Printf("%-12s %s\n", "-chaos", experiments.CrashAndRecover().Title)
-		fmt.Printf("%-12s %s\n", "-graceful", experiments.GracefulDegradation().Title)
-		fmt.Printf("%-12s %s\n", "-noisy", experiments.NoisyNeighbor().Title)
-		fmt.Printf("%-12s %s\n", "-policymatrix", experiments.PolicyMatrix().Title)
+		for _, s := range experiments.Studies() {
+			fmt.Printf("%-12s %s\n", "-"+s.ID, s.Title)
+		}
 		return
 	}
 
-	if *degraded {
-		sweep := experiments.Degraded()
-		if *seeds > 0 {
-			sweep.Seeds = *seeds
-		}
-		sweep.Parallel = *par
-		if *loss > 0 {
-			sweep.LossRates = []float64{*loss}
-		}
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
+	study, ok, err := o.study(fs)
+	if err != nil {
+		fatal(err)
 	}
-	if *graceful {
-		sweep := experiments.GracefulDegradation()
-		sweep.Parallel = *par
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
-	}
-	if *noisy {
-		sweep := experiments.NoisyNeighbor()
-		sweep.Parallel = *par
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
-	}
-	if *matrix {
-		sweep := experiments.PolicyMatrix()
-		sweep.Parallel = *par
-		rep, err := sweep.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
-		return
-	}
-	if *chaos {
-		sc := experiments.CrashAndRecover()
-		sc.Parallel = *par
-		if *faultPlan != "" {
-			plan, err := faults.LoadPlan(*faultPlan)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			sc.Plan = plan
-			sc.Title = fmt.Sprintf("Chaos: fault plan %s", *faultPlan)
-		} else if *crashAt > 0 {
-			at := units.Time(crashAt.Nanoseconds())
-			sc.Plan = &faults.Plan{Timeline: []faults.TimelineEvent{
-				{At: at, Kind: faults.KindCrash, Server: 0},
-				{At: at + 30*units.Millisecond, Kind: faults.KindRevive, Server: 0},
-			}}
-			sc.Title = fmt.Sprintf("Chaos: crash server 0 at %v, revive 30ms later", *crashAt)
-		}
-		rep, err := sc.RunContext(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(rep.CSV())
-		} else {
-			fmt.Println(rep.Table())
-		}
+	if ok {
+		runStudy(ctx, study, o.csv)
 		return
 	}
 
 	var toRun []experiments.Experiment
-	if *fig != "" {
-		id := *fig
+	if o.fig != "" {
+		id := o.fig
 		// Bare numbers ("5", "12") are shorthand for figure ids; named
 		// experiments (writes, hybrid, ...) pass through.
 		if _, err := experiments.ByID(id); err != nil && !strings.HasPrefix(id, "figure") {
@@ -204,10 +202,10 @@ func main() {
 	var reports []*experiments.Report
 	interrupted := false
 	for _, e := range toRun {
-		if *seeds > 0 {
-			e.Seeds = *seeds
+		if o.seeds > 0 {
+			e.Seeds = o.seeds
 		}
-		e.Parallel = *par
+		e.Parallel = o.par
 		start := time.Now() //lint:wallclock operator-facing elapsed-time note, not a figure input
 		rep, err := e.RunContext(ctx)
 		if err != nil {
@@ -220,7 +218,7 @@ func main() {
 			interrupted = true
 			if rep != nil && len(rep.Cells) > 0 {
 				reports = append(reports, rep)
-				render(rep, *csv, *plot)
+				render(rep, o.csv, o.plot)
 				elapsed := time.Since(start).Round(time.Millisecond) //lint:wallclock operator-facing elapsed-time note, not a figure input
 				fmt.Printf("(%s interrupted after %v with %d/%d cells)\n\n",
 					e.ID, elapsed, len(rep.Cells), len(e.Cells))
@@ -229,14 +227,14 @@ func main() {
 			break
 		}
 		reports = append(reports, rep)
-		render(rep, *csv, *plot)
-		if !*csv {
+		render(rep, o.csv, o.plot)
+		if !o.csv {
 			//lint:wallclock operator-facing elapsed-time note, not a figure input
 			fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if *html != "" {
-		f, err := os.Create(*html)
+	if o.html != "" {
+		f, err := os.Create(o.html)
 		if err != nil {
 			fatal(err)
 		}
@@ -249,7 +247,7 @@ func main() {
 		if werr != nil {
 			fatal(werr)
 		}
-		fmt.Printf("HTML report written to %s\n", *html)
+		fmt.Printf("HTML report written to %s\n", o.html)
 	}
 	if interrupted {
 		profiler.Stop()
@@ -261,6 +259,27 @@ func fatal(err error) {
 	profiler.Stop() // os.Exit skips defers; flush profiles first
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
+}
+
+// runStudy runs one study and prints it in the selected format. An
+// interrupted study prints the rows it completed, then exits 1.
+func runStudy(ctx context.Context, s experiments.Study, csv bool) {
+	start := time.Now() //lint:wallclock operator-facing elapsed-time note, not a study input
+	rep, err := s.RunContext(ctx)
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		fatal(err)
+	}
+	if csv {
+		fmt.Print(rep.CSV())
+	} else {
+		fmt.Println(rep.Table())
+	}
+	if err != nil {
+		elapsed := time.Since(start).Round(time.Millisecond) //lint:wallclock operator-facing elapsed-time note, not a study input
+		fmt.Printf("(%s interrupted after %v with %d/%d rows)\n",
+			s.ID, elapsed, len(rep.Rows), len(s.Points)*len(s.Policies))
+		fatal(fmt.Errorf("run cancelled: %w", err))
+	}
 }
 
 // render prints one report in the selected format.

@@ -354,18 +354,28 @@ func (f *faultFlags) apply(cfg *cluster.Config) error {
 	return nil
 }
 
-// exitIfFaulted turns a completed run with abandoned or partial
-// transfers into a nonzero exit, with a one-line summary on stderr, so
-// scripts and CI never mistake a degraded run for a clean one.
+// exitIfFaulted turns a completed run that fell short into a nonzero
+// exit, with a one-line summary on stderr, so scripts and CI never
+// mistake a degraded run for a clean one.
 func exitIfFaulted(res *cluster.Result) {
-	f := res.Faults
-	if f.FailedOps == 0 && f.PartialOps == 0 {
-		return
+	if msg, short := shortfall(res); short {
+		profiler.Stop()
+		fmt.Fprintln(os.Stderr, msg)
+		os.Exit(1)
 	}
-	profiler.Stop()
-	fmt.Fprintf(os.Stderr, "saisim: %d ops failed, %d partial (%v short of %v offered) after %d retries\n",
-		f.FailedOps, f.PartialOps, f.OfferedBytes-f.GoodputBytes, f.OfferedBytes, res.Retries)
-	os.Exit(1)
+}
+
+// shortfall reports whether a completed run fell short of its offered
+// bytes, and says by how much. Abandoned or partial transfers fall
+// short, and so do transfers stranded on a crashed server with retries
+// off, which never fail and never finish.
+func shortfall(res *cluster.Result) (string, bool) {
+	f := res.Faults
+	if f.FailedOps == 0 && f.PartialOps == 0 && f.GoodputBytes >= f.OfferedBytes {
+		return "", false
+	}
+	return fmt.Sprintf("saisim: %d ops failed, %d partial, %v of %v offered never arrived, after %d retries",
+		f.FailedOps, f.PartialOps, f.OfferedBytes-f.GoodputBytes, f.OfferedBytes, res.Retries), true
 }
 
 // loadTenantMix decodes a tenant mix from inline JSON (anything

@@ -9,6 +9,7 @@ import (
 
 	"sais/cluster"
 	"sais/internal/faults"
+	"sais/internal/irqsched"
 	"sais/internal/units"
 )
 
@@ -158,6 +159,61 @@ func TestNegativeFaultFlagsRejected(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestShortfall: a run whose transfers are stranded on a crashed server
+// with retries off fails no op, yet must still be reported short; a
+// healthy run, read or write, must not.
+func TestShortfall(t *testing.T) {
+	// saisim's flag defaults.
+	base := cluster.DefaultConfig()
+	base.Policy = irqsched.PolicySourceAware
+	base.Servers = 16
+	base.Clients = 1
+	base.ProcsPerClient = 2
+	base.CoresPerClient = 8
+	base.ClientNICRate = 3 * units.Gigabit
+	base.TransferSize = units.MiB
+	base.BytesPerProc = 32 * units.MiB
+	base.Seed = 1
+	write := base
+	write.WriteWorkload = true
+
+	cases := []struct {
+		name  string
+		cfg   cluster.Config
+		args  []string
+		short string // "" for a run that must pass
+	}{
+		{name: "healthy read", cfg: base},
+		{name: "healthy write", cfg: write},
+		{name: "stranded by a crash", cfg: base, args: []string{"-crash", "2", "-crash-at", "5ms"},
+			short: "0 ops failed, 0 partial, 62MiB of 64MiB offered never arrived"},
+		{name: "abandoned after retries", cfg: base, args: []string{"-crash", "2", "-crash-at", "5ms", "-retry", "5ms", "-max-retries", "1"},
+			short: "never arrived"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("saisim", flag.ContinueOnError)
+			var ff faultFlags
+			ff.register(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			if err := ff.apply(&cfg); err != nil {
+				t.Fatal(err)
+			}
+			res, err := cluster.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, short := shortfall(res)
+			if short != (tc.short != "") || !strings.Contains(msg, tc.short) {
+				t.Errorf("shortfall = %q, %v; want %v and a summary containing %q", msg, short, tc.short != "", tc.short)
 			}
 		})
 	}

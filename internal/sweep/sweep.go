@@ -121,7 +121,7 @@ var setters = map[string]setter{
 		c.ServerNICRate = units.Rate(f) * units.Gigabit
 	}),
 	"migrate":     floatSetter(func(c *cluster.Config, f float64) { c.MigrateDuringBlock = f }),
-	"loss":        floatSetter(setLoss),
+	"loss":        floatSetter(SetLoss),
 	"transfer":    bytesSetter(func(c *cluster.Config, b units.Bytes) { c.TransferSize = b }),
 	"strip":       bytesSetter(func(c *cluster.Config, b units.Bytes) { c.StripSize = b }),
 	"bytes":       bytesSetter(func(c *cluster.Config, b units.Bytes) { c.BytesPerProc = b }),
@@ -149,9 +149,9 @@ var setters = map[string]setter{
 	},
 }
 
-// setLoss writes the loss rate into a plan of the point's own: points
+// SetLoss writes the loss rate into a plan of the config's own: points
 // run concurrently, so none may write to a plan another point holds.
-func setLoss(c *cluster.Config, f float64) {
+func SetLoss(c *cluster.Config, f float64) {
 	p := c.Faults.Clone()
 	if p == nil {
 		p = &faults.Plan{}
