@@ -22,7 +22,7 @@ import (
 
 // runExperiment executes one figure with a single seed per iteration
 // and reports its peak change.
-func runExperiment(b *testing.B, e experiments.Experiment) {
+func runExperiment(b *testing.B, e experiments.Study) {
 	b.Helper()
 	e.Seeds = 1
 	var peak float64

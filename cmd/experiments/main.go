@@ -21,9 +21,10 @@
 //	experiments -noisy       # background load vs foreground strip latency
 //	experiments -policymatrix # strip latency and reordering per policy × workload
 //
-// -seeds and -parallel apply to a study as to a figure. A study
-// modifier (-loss, -crash-at, -fault-plan) without its study is an
-// error.
+// Figures and studies run on one runner, experiments.Study: -seeds and
+// -parallel apply to both, and set explicitly must be at least 1. A
+// study modifier (-loss, -crash-at, -fault-plan) without its study is
+// an error.
 //
 // Ctrl-C (SIGINT) cancels in-flight simulations promptly and the
 // figure cells or study rows completed so far are still printed.
@@ -91,57 +92,82 @@ var modifiers = []struct{ flag, study string }{
 	{"fault-plan", "chaos"},
 }
 
-// study resolves the study the parsed flags select, with every
-// explicitly set modifier applied, or returns ok false when no study
-// flag is set. A modifier without its study, or two studies at once,
-// is an error.
-func (o *options) study(fs *flag.FlagSet) (s experiments.Study, ok bool, err error) {
+// selection resolves the parsed flags into the studies to run: the one
+// study a study flag selects, with every explicitly set modifier
+// applied (isStudy true), or else the figures. A modifier without its
+// study, two studies at once, or an explicit -seeds or -parallel below
+// 1 is an error.
+func (o *options) selection(fs *flag.FlagSet) (toRun []experiments.Study, isStudy bool, err error) {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["seeds"] && o.seeds < 1 {
+		return nil, false, fmt.Errorf("-seeds %d: want at least 1", o.seeds)
+	}
+	if set["parallel"] && o.par < 1 {
+		return nil, false, fmt.Errorf("-parallel %d: want at least 1", o.par)
+	}
+	var s experiments.Study
 	for _, st := range experiments.Studies() {
 		if !*o.studies[st.ID] {
 			continue
 		}
-		if ok {
-			return s, false, fmt.Errorf("-%s and -%s are exclusive", s.ID, st.ID)
+		if isStudy {
+			return nil, false, fmt.Errorf("-%s and -%s are exclusive", s.ID, st.ID)
 		}
-		s, ok = st, true
+		s, isStudy = st, true
 	}
 	for _, m := range modifiers {
 		if set[m.flag] && s.ID != m.study {
-			return s, false, fmt.Errorf("-%s needs -%s", m.flag, m.study)
+			return nil, false, fmt.Errorf("-%s needs -%s", m.flag, m.study)
 		}
 	}
 	if set["crash-at"] && set["fault-plan"] {
-		return s, false, errors.New("-crash-at and -fault-plan are exclusive")
+		return nil, false, errors.New("-crash-at and -fault-plan are exclusive")
 	}
-	if !ok {
-		return s, false, nil
+	switch {
+	case isStudy:
+		toRun = []experiments.Study{s}
+	case o.fig != "":
+		id := o.fig
+		// Bare numbers ("5", "12") are shorthand for figure ids; named
+		// experiments (writes, hybrid, ...) pass through.
+		if _, err := experiments.ByID(id); err != nil && !strings.HasPrefix(id, "figure") {
+			id = "figure" + id
+		}
+		e, err := experiments.ByID(id)
+		if err != nil {
+			return nil, false, err
+		}
+		toRun = []experiments.Study{e}
+	default:
+		toRun = experiments.All()
 	}
 	if set["loss"] {
-		s.Points = []experiments.Point{experiments.LossPoint(o.loss)}
+		toRun[0] = experiments.Degraded(o.loss)
 	}
 	if set["crash-at"] {
 		at := units.Time(o.crashAt.Nanoseconds())
-		s.Config.Faults = &faults.Plan{Timeline: []faults.TimelineEvent{
+		toRun[0].Config.Faults = &faults.Plan{Timeline: []faults.TimelineEvent{
 			{At: at, Kind: faults.KindCrash, Server: 0},
 			{At: at + 30*units.Millisecond, Kind: faults.KindRevive, Server: 0},
 		}}
-		s.Title = fmt.Sprintf("Chaos: crash server 0 at %v, revive 30ms later", o.crashAt)
+		toRun[0].Title = fmt.Sprintf("Chaos: crash server 0 at %v, revive 30ms later", o.crashAt)
 	}
 	if set["fault-plan"] {
 		plan, err := faults.LoadPlan(o.faultPlan)
 		if err != nil {
-			return s, false, err
+			return nil, false, err
 		}
-		s.Config.Faults = plan
-		s.Title = fmt.Sprintf("Chaos: fault plan %s", o.faultPlan)
+		toRun[0].Config.Faults = plan
+		toRun[0].Title = fmt.Sprintf("Chaos: fault plan %s", o.faultPlan)
 	}
-	if o.seeds > 0 {
-		s.Seeds = o.seeds
+	for i := range toRun {
+		if set["seeds"] {
+			toRun[i].Seeds = o.seeds
+		}
+		toRun[i].Parallel = o.par
 	}
-	s.Parallel = o.par
-	return s, true, nil
+	return toRun, isStudy, nil
 }
 
 func main() {
@@ -173,67 +199,35 @@ func main() {
 		return
 	}
 
-	study, ok, err := o.study(fs)
+	toRun, isStudy, err := o.selection(fs)
 	if err != nil {
 		fatal(err)
 	}
-	if ok {
-		runStudy(ctx, study, o.csv)
-		return
-	}
-
-	var toRun []experiments.Experiment
-	if o.fig != "" {
-		id := o.fig
-		// Bare numbers ("5", "12") are shorthand for figure ids; named
-		// experiments (writes, hybrid, ...) pass through.
-		if _, err := experiments.ByID(id); err != nil && !strings.HasPrefix(id, "figure") {
-			id = "figure" + id
-		}
-		e, err := experiments.ByID(id)
-		if err != nil {
+	var reports []*experiments.Report
+	var runErr error
+	for _, s := range toRun {
+		start := time.Now() //lint:wallclock operator-facing elapsed-time note, not a study input
+		rep, err := s.RunContext(ctx)
+		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			fatal(err)
 		}
-		toRun = []experiments.Experiment{e}
-	} else {
-		toRun = experiments.All()
-	}
-
-	var reports []*experiments.Report
-	interrupted := false
-	for _, e := range toRun {
-		if o.seeds > 0 {
-			e.Seeds = o.seeds
+		// An interrupted figure prints only if it finished a row; an
+		// interrupted study prints its header and rows either way.
+		if err == nil || isStudy || len(rep.Rows) > 0 {
+			render(rep, o.csv, o.plot && !isStudy)
+			reports = append(reports, rep)
 		}
-		e.Parallel = o.par
-		start := time.Now() //lint:wallclock operator-facing elapsed-time note, not a figure input
-		rep, err := e.RunContext(ctx)
+		elapsed := time.Since(start).Round(time.Millisecond) //lint:wallclock operator-facing elapsed-time note, not a study input
 		if err != nil {
-			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			// Graceful shutdown: keep whatever cells finished before the
-			// signal or deadline, print them, and stop scheduling figures.
-			interrupted = true
-			if rep != nil && len(rep.Cells) > 0 {
-				reports = append(reports, rep)
-				render(rep, o.csv, o.plot)
-				elapsed := time.Since(start).Round(time.Millisecond) //lint:wallclock operator-facing elapsed-time note, not a figure input
-				fmt.Printf("(%s interrupted after %v with %d/%d cells)\n\n",
-					e.ID, elapsed, len(rep.Cells), len(e.Cells))
-			}
-			fmt.Fprintln(os.Stderr, "experiments: run cancelled:", err)
+			fmt.Printf("(%s interrupted after %v with %d/%d rows)\n", s.ID, elapsed, len(rep.Rows), len(s.Points))
+			runErr = err
 			break
 		}
-		reports = append(reports, rep)
-		render(rep, o.csv, o.plot)
-		if !o.csv {
-			//lint:wallclock operator-facing elapsed-time note, not a figure input
-			fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		if !isStudy && !o.csv {
+			fmt.Printf("(%s completed in %v)\n\n", s.ID, elapsed)
 		}
 	}
-	if o.html != "" {
+	if o.html != "" && !isStudy {
 		f, err := os.Create(o.html)
 		if err != nil {
 			fatal(err)
@@ -249,9 +243,8 @@ func main() {
 		}
 		fmt.Printf("HTML report written to %s\n", o.html)
 	}
-	if interrupted {
-		profiler.Stop()
-		os.Exit(1)
+	if runErr != nil {
+		fatal(fmt.Errorf("run cancelled: %w", runErr))
 	}
 }
 
@@ -259,27 +252,6 @@ func fatal(err error) {
 	profiler.Stop() // os.Exit skips defers; flush profiles first
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
-}
-
-// runStudy runs one study and prints it in the selected format. An
-// interrupted study prints the rows it completed, then exits 1.
-func runStudy(ctx context.Context, s experiments.Study, csv bool) {
-	start := time.Now() //lint:wallclock operator-facing elapsed-time note, not a study input
-	rep, err := s.RunContext(ctx)
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		fatal(err)
-	}
-	if csv {
-		fmt.Print(rep.CSV())
-	} else {
-		fmt.Println(rep.Table())
-	}
-	if err != nil {
-		elapsed := time.Since(start).Round(time.Millisecond) //lint:wallclock operator-facing elapsed-time note, not a study input
-		fmt.Printf("(%s interrupted after %v with %d/%d rows)\n",
-			s.ID, elapsed, len(rep.Rows), len(s.Points)*len(s.Policies))
-		fatal(fmt.Errorf("run cancelled: %w", err))
-	}
 }
 
 // render prints one report in the selected format.

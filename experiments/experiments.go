@@ -1,7 +1,9 @@
-// Package experiments defines one reproducible experiment per table or
-// figure in the paper's evaluation (§V and §VI): the exact parameter
-// sweep, the baseline and treatment policies, the metric, and a table
-// renderer that prints the same rows the paper plots. Every experiment
+// Package experiments runs the paper's evaluation (§V and §VI) and the
+// robustness studies beyond it. Each is a Study: a grid of points, each
+// point a change to a base cluster config with the steering policy
+// among its keys, averaged over seeded runs. A figure is a two-policy
+// study, every cell under the baseline and the treatment, rendered as
+// pairs with the paper's metric and the relative change; every figure
 // averages at least three seeded runs, as the paper's methodology does.
 //
 // The constructors are indexed in DESIGN.md; cmd/experiments runs them
@@ -9,7 +11,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,185 +18,94 @@ import (
 	"sais/cluster"
 	"sais/internal/irqsched"
 	"sais/internal/metrics"
-	"sais/internal/runner"
 	"sais/internal/textplot"
 	"sais/internal/units"
 )
 
-// MetricKind selects which measurement a figure reports.
-type MetricKind int
+// metric is what a figure compares: one measured column and its
+// direction.
+type metric struct {
+	col    column
+	higher bool // higher is better; otherwise lower is
+}
 
-// Metrics of the paper's figures.
-const (
-	MetricBandwidth   MetricKind = iota // MB/s, higher is better (Figs 5, 12, 14)
-	MetricMissRate                      // L2 miss ratio, lower is better (Figs 6, 7)
-	MetricUtilization                   // CPU %, lower is better for equal work (Figs 8, 9)
-	MetricUnhalted                      // CPU_CLK_UNHALTED cycles, lower is better (Figs 10, 11)
+// metricKey is the CSV header, and Row.Stats key, of a figure's metric.
+const metricKey = "metric"
+
+// The metrics of the paper's figures.
+var (
+	// bandwidth is in MB/s (Figs 5, 12, 14).
+	bandwidth = metric{column{head: "bandwidth (MB/s)", csv: metricKey, value: mbps}, true}
+	// missRate is the L2 miss ratio (Figs 6, 7).
+	missRate = metric{column{head: "L2 miss rate", csv: metricKey,
+		value: func(r *cluster.Result) float64 { return r.CacheMissRate }}, false}
+	// utilization is CPU utilization, lower for equal work (Figs 8, 9).
+	utilization = metric{column{head: "CPU utilization", csv: metricKey,
+		value: func(r *cluster.Result) float64 { return r.CPUUtilization }}, false}
+	// unhalted is CPU_CLK_UNHALTED cycles (Figs 10, 11).
+	unhalted = metric{column{head: "CPU_CLK_UNHALTED (cycles)", csv: metricKey,
+		value: func(r *cluster.Result) float64 { return float64(r.UnhaltedCycles) }}, false}
 )
 
-var metricNames = map[MetricKind]string{
-	MetricBandwidth:   "bandwidth (MB/s)",
-	MetricMissRate:    "L2 miss rate",
-	MetricUtilization: "CPU utilization",
-	MetricUnhalted:    "CPU_CLK_UNHALTED (cycles)",
+// figure is what a paper figure adds to its study: the metric, the
+// baseline and treatment policies, and the paper's own result.
+type figure struct {
+	metric              metric
+	baseline, treatment irqsched.PolicyKind
+	note                string
 }
 
-func (m MetricKind) String() string { return metricNames[m] }
-
-// HigherIsBetter reports the metric's direction.
-func (m MetricKind) HigherIsBetter() bool { return m == MetricBandwidth }
-
-// value extracts the metric from a run result.
-func (m MetricKind) value(r *cluster.Result) float64 {
-	switch m {
-	case MetricBandwidth:
-		return float64(r.Bandwidth) / 1e6
-	case MetricMissRate:
-		return r.CacheMissRate
-	case MetricUtilization:
-		return r.CPUUtilization
-	case MetricUnhalted:
-		return float64(r.UnhaltedCycles)
-	default:
-		panic(fmt.Sprintf("experiments: unknown metric %d", int(m)))
+// newFigure returns a figure's study: every cell under the baseline and
+// then the treatment, averaged over three seeds as the paper does.
+func newFigure(id, title string, cfg cluster.Config, cells []Point, f figure) Study {
+	return Study{
+		ID:      id,
+		Title:   title,
+		Points:  cross(cells, []irqsched.PolicyKind{f.baseline, f.treatment}),
+		Config:  cfg,
+		Seeds:   3,
+		keys:    []column{{head: "cell", csv: "cell"}, policyKey},
+		columns: []column{f.metric.col, stripP50us, stripP95us, stripP99us},
+		figure:  &f,
 	}
 }
 
-// Cell is one bar of a figure: a label and the configuration producing
-// it (the policy field is overridden per run).
-type Cell struct {
-	Label  string
-	Config cluster.Config
+// cell is one bar of a figure: a label and its change to the base
+// config.
+func cell(label string, set func(*cluster.Config)) Point {
+	return Point{Values: []string{label}, Set: set}
 }
 
-// Experiment is one figure's full definition.
-type Experiment struct {
-	ID        string
-	Title     string
-	Metric    MetricKind
-	Baseline  irqsched.PolicyKind
-	Treatment irqsched.PolicyKind
-	Cells     []Cell
-	Seeds     int // runs per cell per policy; the paper averages ≥ 3
-	// Parallel runs up to this many cells concurrently (each cell's
-	// simulator is fully independent). 0/1 = sequential.
-	Parallel int
-	// Progress, if non-nil, is called after each cell completes with
-	// the counts so far; calls are serialized even under Parallel.
-	Progress  func(done, total int)
-	PaperNote string
-}
-
-// CellResult is one measured bar pair.
-type CellResult struct {
-	Label     string
-	Baseline  metrics.Summary
-	Treatment metrics.Summary
-	// Change is the treatment's relative improvement: speed-up for
+// pair is one figure cell of a report: its baseline and treatment rows.
+type pair struct {
+	label       string
+	base, treat Row
+	// change is the treatment's relative improvement: speed-up for
 	// higher-is-better metrics, reduction for lower-is-better ones.
-	Change float64
-	// Per-strip end-to-end latency percentiles (µs, averaged over
-	// seeds), from the client-side issue→arrival histogram. Zero for
-	// workloads that return no strips (writes).
-	BaseStripP50  metrics.Summary
-	BaseStripP95  metrics.Summary
-	BaseStripP99  metrics.Summary
-	TreatStripP50 metrics.Summary
-	TreatStripP95 metrics.Summary
-	TreatStripP99 metrics.Summary
+	change float64
 }
 
-// Report is a completed experiment.
-type Report struct {
-	ID        string
-	Title     string
-	Metric    MetricKind
-	Baseline  string
-	Treatment string
-	Cells     []CellResult
-	PaperNote string
-}
-
-// Run executes the experiment. Deterministic: seeds are 1..Seeds.
-func (e Experiment) Run() (*Report, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext executes the experiment under ctx. Cells run on the
-// shared internal/runner engine: up to Parallel cells concurrently
-// (each cell owns an independent simulator), results landing at fixed
-// indices so the report is byte-identical regardless of worker count.
-// The first cell error — or ctx being cancelled — stops in-flight
-// simulations promptly and skips every queued cell; in that case the
-// returned report still carries the cells completed so far, so
-// interrupted runs can print partial results alongside the error.
-func (e Experiment) RunContext(ctx context.Context) (*Report, error) {
-	if len(e.Cells) == 0 {
-		return nil, fmt.Errorf("experiments: %s has no cells", e.ID)
+// pairs matches each cell's baseline row with its treatment row. A cell
+// missing either, as in an interrupted run, is left out.
+func (r *Report) pairs() []pair {
+	if r.figure == nil {
+		return nil
 	}
-	seeds := e.Seeds
-	if seeds < 1 {
-		seeds = 3
-	}
-	rep := &Report{
-		ID:        e.ID,
-		Title:     e.Title,
-		Metric:    e.Metric,
-		Baseline:  e.Baseline.String(),
-		Treatment: e.Treatment.String(),
-		PaperNote: e.PaperNote,
-	}
-	//lint:goroutine runner.Map joins all workers and returns rows in point order; per-cell output is seed-deterministic
-	cells, err := runner.Map(ctx, len(e.Cells),
-		runner.Options{Workers: e.Parallel, OnProgress: e.Progress},
-		func(ctx context.Context, i int) (CellResult, error) {
-			return e.runCell(ctx, i, seeds)
-		})
-	if err != nil {
-		// Keep only the completed cells (in order) so an interrupted
-		// experiment still renders a meaningful partial table.
-		for _, c := range cells {
-			if c.Label != "" {
-				rep.Cells = append(rep.Cells, c)
-			}
+	var out []pair
+	for i := 0; i+1 < len(r.Rows); i++ {
+		base, treat := r.Rows[i], r.Rows[i+1]
+		if base.Point.Values[0] != treat.Point.Values[0] {
+			continue
 		}
-		return rep, err
-	}
-	rep.Cells = cells
-	return rep, nil
-}
-
-// runCell measures one cell: Seeds seeded runs of baseline and
-// treatment, averaged.
-func (e Experiment) runCell(ctx context.Context, i, seeds int) (CellResult, error) {
-	cell := e.Cells[i]
-	cr := CellResult{Label: cell.Label}
-	for s := 0; s < seeds; s++ {
-		cfg := cell.Config
-		cfg.Seed = uint64(s + 1)
-		base, err := cluster.RunContext(ctx, cfg.WithPolicy(e.Baseline))
-		if err != nil {
-			return CellResult{}, fmt.Errorf("%s/%s baseline: %w", e.ID, cell.Label, err)
+		b, t := base.Stats[metricKey].Mean(), treat.Stats[metricKey].Mean()
+		p := pair{label: base.Point.Values[0], base: base, treat: treat, change: metrics.Reduction(t, b)}
+		if r.figure.metric.higher {
+			p.change = metrics.Speedup(t, b)
 		}
-		treat, err := cluster.RunContext(ctx, cfg.WithPolicy(e.Treatment))
-		if err != nil {
-			return CellResult{}, fmt.Errorf("%s/%s treatment: %w", e.ID, cell.Label, err)
-		}
-		cr.Baseline.Add(e.Metric.value(base))
-		cr.Treatment.Add(e.Metric.value(treat))
-		cr.BaseStripP50.Add(float64(base.StripLatencyP50) / 1e3)
-		cr.BaseStripP95.Add(float64(base.StripLatencyP95) / 1e3)
-		cr.BaseStripP99.Add(float64(base.StripLatencyP99) / 1e3)
-		cr.TreatStripP50.Add(float64(treat.StripLatencyP50) / 1e3)
-		cr.TreatStripP95.Add(float64(treat.StripLatencyP95) / 1e3)
-		cr.TreatStripP99.Add(float64(treat.StripLatencyP99) / 1e3)
+		out = append(out, p)
+		i++
 	}
-	if e.Metric.HigherIsBetter() {
-		cr.Change = metrics.Speedup(cr.Treatment.Mean(), cr.Baseline.Mean())
-	} else {
-		cr.Change = metrics.Reduction(cr.Treatment.Mean(), cr.Baseline.Mean())
-	}
-	return cr, nil
+	return out
 }
 
 // BestChange returns the best change across cells and its label — the
@@ -203,74 +113,82 @@ func (e Experiment) runCell(ctx context.Context, i, seeds int) (CellResult, erro
 // regresses it returns the least-bad cell (still with its label), so
 // the reported peak always names a real cell.
 func (r *Report) BestChange() (float64, string) {
-	if len(r.Cells) == 0 {
+	pairs := r.pairs()
+	if len(pairs) == 0 {
 		return 0, ""
 	}
-	best, label := r.Cells[0].Change, r.Cells[0].Label
-	for _, c := range r.Cells[1:] {
-		if c.Change > best {
-			best, label = c.Change, c.Label
+	best := pairs[0]
+	for _, p := range pairs[1:] {
+		if p.change > best.change {
+			best = p
 		}
 	}
-	return best, label
+	return best.change, best.label
 }
 
-// Table renders the report as a fixed-width text table.
-func (r *Report) Table() string {
+// figureTable renders a figure's report as a fixed-width text table.
+func (r *Report) figureTable() string {
+	f := r.figure
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", r.ID, r.Title)
-	fmt.Fprintf(&b, "metric: %s   baseline: %s   treatment: %s\n", r.Metric, r.Baseline, r.Treatment)
-	if r.PaperNote != "" {
-		fmt.Fprintf(&b, "paper: %s\n", r.PaperNote)
+	fmt.Fprintf(&b, "metric: %s   baseline: %s   treatment: %s\n", f.metric.col.head, f.baseline, f.treatment)
+	if f.note != "" {
+		fmt.Fprintf(&b, "paper: %s\n", f.note)
 	}
 	fmt.Fprintf(&b, "%-22s %16s %16s %10s %20s %20s\n",
-		"cell", r.Baseline, r.Treatment, "change", "b strip p50/95/99us", "t strip p50/95/99us")
-	for _, c := range r.Cells {
+		"cell", f.baseline, f.treatment, "change", "b strip p50/95/99us", "t strip p50/95/99us")
+	for _, p := range r.pairs() {
 		fmt.Fprintf(&b, "%-22s %16s %16s %10s %20s %20s\n",
-			c.Label, c.Baseline.String(), c.Treatment.String(), metrics.Percent(c.Change),
-			stripCol(c.BaseStripP50, c.BaseStripP95, c.BaseStripP99),
-			stripCol(c.TreatStripP50, c.TreatStripP95, c.TreatStripP99))
+			p.label, p.base.Stats[metricKey].String(), p.treat.Stats[metricKey].String(),
+			metrics.Percent(p.change), stripCol(p.base), stripCol(p.treat))
 	}
 	best, label := r.BestChange()
 	fmt.Fprintf(&b, "peak change: %s at %s\n", metrics.Percent(best), label)
 	return b.String()
 }
 
-// stripCol formats a cell's per-strip latency percentiles as one
-// compact p50/p95/p99 column in microseconds.
-func stripCol(p50, p95, p99 metrics.Summary) string {
-	return fmt.Sprintf("%.0f/%.0f/%.0f", p50.Mean(), p95.Mean(), p99.Mean())
+// stripCol formats a row's per-strip latency percentiles as one compact
+// p50/p95/p99 column in microseconds.
+func stripCol(row Row) string {
+	return fmt.Sprintf("%.0f/%.0f/%.0f", row.Stats[stripP50us.csv].Mean(),
+		row.Stats[stripP95us.csv].Mean(), row.Stats[stripP99us.csv].Mean())
 }
 
-// CSV renders the report as comma-separated rows (one per cell) with a
-// header line, for spreadsheet or plotting pipelines.
-func (r *Report) CSV() string {
+// figureCSV renders a figure's report as comma-separated rows (one per
+// cell) with a header line, for spreadsheet or plotting pipelines.
+func (r *Report) figureCSV() string {
+	f := r.figure
 	var b strings.Builder
 	fmt.Fprintf(&b, "experiment,cell,metric,%s_mean,%s_ci95,%s_mean,%s_ci95,change,base_strip_p50_us,base_strip_p95_us,base_strip_p99_us,treat_strip_p50_us,treat_strip_p95_us,treat_strip_p99_us\n",
-		r.Baseline, r.Baseline, r.Treatment, r.Treatment)
-	for _, c := range r.Cells {
+		f.baseline, f.baseline, f.treatment, f.treatment)
+	for _, p := range r.pairs() {
+		base, treat := p.base.Stats, p.treat.Stats
 		fmt.Fprintf(&b, "%s,%q,%q,%g,%g,%g,%g,%.6f,%g,%g,%g,%g,%g,%g\n",
-			r.ID, c.Label, r.Metric.String(),
-			c.Baseline.Mean(), c.Baseline.CI95(),
-			c.Treatment.Mean(), c.Treatment.CI95(), c.Change,
-			c.BaseStripP50.Mean(), c.BaseStripP95.Mean(), c.BaseStripP99.Mean(),
-			c.TreatStripP50.Mean(), c.TreatStripP95.Mean(), c.TreatStripP99.Mean())
+			r.ID, p.label, f.metric.col.head,
+			base[metricKey].Mean(), base[metricKey].CI95(),
+			treat[metricKey].Mean(), treat[metricKey].CI95(), p.change,
+			base[stripP50us.csv].Mean(), base[stripP95us.csv].Mean(), base[stripP99us.csv].Mean(),
+			treat[stripP50us.csv].Mean(), treat[stripP95us.csv].Mean(), treat[stripP99us.csv].Mean())
 	}
 	return b.String()
 }
 
-// Chart renders the report as an ASCII bar chart — the figure's shape
-// at a glance.
+// Chart renders a figure's report as an ASCII bar chart — the figure's
+// shape at a glance.
 func (r *Report) Chart() (string, error) {
-	ch := &textplot.Chart{
-		Title: fmt.Sprintf("%s — %s (%s)", r.ID, r.Title, r.Metric),
+	f := r.figure
+	if f == nil {
+		return "", fmt.Errorf("experiments: %s is not a figure", r.ID)
 	}
-	base := textplot.Series{Name: r.Baseline}
-	treat := textplot.Series{Name: r.Treatment}
-	for _, c := range r.Cells {
-		ch.Labels = append(ch.Labels, c.Label)
-		base.Values = append(base.Values, c.Baseline.Mean())
-		treat.Values = append(treat.Values, c.Treatment.Mean())
+	ch := &textplot.Chart{
+		Title: fmt.Sprintf("%s — %s (%s)", r.ID, r.Title, f.metric.col.head),
+	}
+	base := textplot.Series{Name: f.baseline.String()}
+	treat := textplot.Series{Name: f.treatment.String()}
+	for _, p := range r.pairs() {
+		ch.Labels = append(ch.Labels, p.label)
+		base.Values = append(base.Values, p.base.Stats[metricKey].Mean())
+		treat.Values = append(treat.Values, p.treat.Stats[metricKey].Mean())
 	}
 	ch.Series = []textplot.Series{base, treat}
 	return ch.Render()
@@ -294,173 +212,112 @@ func evalConfig(nicRate units.Rate) cluster.Config {
 }
 
 // grid builds the 16-cell transfer×servers sweep of Figures 5-11.
-func grid(nicRate units.Rate) []Cell {
-	var cells []Cell
+func grid() []Point {
+	var cells []Point
 	for _, xfer := range transferSweep {
 		for _, ns := range serverSweep {
-			cfg := evalConfig(nicRate)
-			cfg.TransferSize = xfer
-			cfg.Servers = ns
-			cells = append(cells, Cell{
-				Label:  fmt.Sprintf("%v/%d nodes", xfer, ns),
-				Config: cfg,
-			})
+			cells = append(cells, cell(fmt.Sprintf("%v/%d nodes", xfer, ns), func(c *cluster.Config) {
+				c.TransferSize = xfer
+				c.Servers = ns
+			}))
 		}
 	}
 	return cells
 }
 
-// sweep1G and sweep3G name the two NIC regimes of §V.
+// serverCells builds the server sweep of the five extension figures,
+// each cell labelled by format with its server count.
+func serverCells(format string) []Point {
+	var cells []Point
+	for _, ns := range serverSweep {
+		cells = append(cells, cell(fmt.Sprintf(format, ns), func(c *cluster.Config) { c.Servers = ns }))
+	}
+	return cells
+}
+
+// rate1G and rate3G name the two NIC regimes of §V.
 const (
 	rate1G = units.Gigabit
 	rate3G = 3 * units.Gigabit
 )
 
+// The policies of the paper's own comparison.
+const (
+	irqbalance = irqsched.PolicyIrqbalance
+	sais       = irqsched.PolicySourceAware
+)
+
 // Figure5 is the 3-Gigabit bandwidth comparison: SAIs vs Irqbalance
 // over transfer sizes and server counts; the paper reports a peak
 // speed-up of 23.57 % at 48 servers.
-func Figure5() Experiment {
-	return Experiment{
-		ID:        "figure5",
-		Title:     "Bandwidth comparison with 3-Gigabit NIC",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate3G),
-		Seeds:     3,
-		PaperNote: "speed-up grows with server count; max +23.57% at 48 nodes; bandwidth stays under 3 Gbit",
-	}
+func Figure5() Study {
+	return newFigure("figure5", "Bandwidth comparison with 3-Gigabit NIC", evalConfig(rate3G), grid(),
+		figure{bandwidth, irqbalance, sais, "speed-up grows with server count; max +23.57% at 48 nodes; bandwidth stays under 3 Gbit"})
 }
 
 // Figure5OneGig is the §V.C 1-Gigabit bandwidth result: the NIC is the
 // bottleneck and the peak speed-up falls to ≈6 %.
-func Figure5OneGig() Experiment {
-	return Experiment{
-		ID:        "figure5-1g",
-		Title:     "Bandwidth comparison with 1-Gigabit NIC (§V.C text)",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate1G),
-		Seeds:     3,
-		PaperNote: "NIC bottleneck compresses the gain; peak speed-up 6.05%",
-	}
+func Figure5OneGig() Study {
+	return newFigure("figure5-1g", "Bandwidth comparison with 1-Gigabit NIC (§V.C text)", evalConfig(rate1G), grid(),
+		figure{bandwidth, irqbalance, sais, "NIC bottleneck compresses the gain; peak speed-up 6.05%"})
 }
 
 // Figure6 is the 1-Gigabit L2 miss-rate comparison.
-func Figure6() Experiment {
-	return Experiment{
-		ID:        "figure6",
-		Title:     "L2 cache miss rate comparison with 1-Gigabit NIC",
-		Metric:    MetricMissRate,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate1G),
-		Seeds:     3,
-		PaperNote: "SAIs miss rate below Irqbalance in every cell",
-	}
+func Figure6() Study {
+	return newFigure("figure6", "L2 cache miss rate comparison with 1-Gigabit NIC", evalConfig(rate1G), grid(),
+		figure{missRate, irqbalance, sais, "SAIs miss rate below Irqbalance in every cell"})
 }
 
 // Figure7 is the 3-Gigabit L2 miss-rate comparison; the paper reports
 // the miss rate reduced by roughly 40 %.
-func Figure7() Experiment {
-	return Experiment{
-		ID:        "figure7",
-		Title:     "L2 cache miss rate comparison with 3-Gigabit NIC",
-		Metric:    MetricMissRate,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate3G),
-		Seeds:     3,
-		PaperNote: "miss rate reduced ≈40% by SAIs",
-	}
+func Figure7() Study {
+	return newFigure("figure7", "L2 cache miss rate comparison with 3-Gigabit NIC", evalConfig(rate3G), grid(),
+		figure{missRate, irqbalance, sais, "miss rate reduced ≈40% by SAIs"})
 }
 
 // Figure8 is the 1-Gigabit CPU utilization comparison: utilization is
 // low (the NIC starves the cores) and similar under both policies.
-func Figure8() Experiment {
-	return Experiment{
-		ID:        "figure8",
-		Title:     "CPU utilization comparison with 1-Gigabit NIC",
-		Metric:    MetricUtilization,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate1G),
-		Seeds:     3,
-		PaperNote: "utilization low (max 15.13% in the paper); CPUs wait on the NIC",
-	}
+func Figure8() Study {
+	return newFigure("figure8", "CPU utilization comparison with 1-Gigabit NIC", evalConfig(rate1G), grid(),
+		figure{utilization, irqbalance, sais, "utilization low (max 15.13% in the paper); CPUs wait on the NIC"})
 }
 
 // Figure9 is the 3-Gigabit CPU utilization comparison: Irqbalance burns
 // more cycles on data movement.
-func Figure9() Experiment {
-	return Experiment{
-		ID:        "figure9",
-		Title:     "CPU utilization comparison with 3-Gigabit NIC",
-		Metric:    MetricUtilization,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate3G),
-		Seeds:     3,
-		PaperNote: "Irqbalance spends more CPU on data movement; utilization scales with NIC rate",
-	}
+func Figure9() Study {
+	return newFigure("figure9", "CPU utilization comparison with 3-Gigabit NIC", evalConfig(rate3G), grid(),
+		figure{utilization, irqbalance, sais, "Irqbalance spends more CPU on data movement; utilization scales with NIC rate"})
 }
 
 // Figure10 is the 1-Gigabit CPU_CLK_UNHALTED comparison; the paper
 // reports SAIs improving it by up to 27.14 %.
-func Figure10() Experiment {
-	return Experiment{
-		ID:        "figure10",
-		Title:     "CPU I/O wait (CPU_CLK_UNHALTED) with 1-Gigabit NIC",
-		Metric:    MetricUnhalted,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate1G),
-		Seeds:     3,
-		PaperNote: "SAIs reduces unhalted cycles by up to 27.14%",
-	}
+func Figure10() Study {
+	return newFigure("figure10", "CPU I/O wait (CPU_CLK_UNHALTED) with 1-Gigabit NIC", evalConfig(rate1G), grid(),
+		figure{unhalted, irqbalance, sais, "SAIs reduces unhalted cycles by up to 27.14%"})
 }
 
 // Figure11 is the 3-Gigabit CPU_CLK_UNHALTED comparison; the paper
 // reports up to 48.57 %.
-func Figure11() Experiment {
-	return Experiment{
-		ID:        "figure11",
-		Title:     "CPU I/O wait (CPU_CLK_UNHALTED) with 3-Gigabit NIC",
-		Metric:    MetricUnhalted,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     grid(rate3G),
-		Seeds:     3,
-		PaperNote: "SAIs reduces unhalted cycles by up to 48.57%",
-	}
+func Figure11() Study {
+	return newFigure("figure11", "CPU I/O wait (CPU_CLK_UNHALTED) with 3-Gigabit NIC", evalConfig(rate3G), grid(),
+		figure{unhalted, irqbalance, sais, "SAIs reduces unhalted cycles by up to 48.57%"})
 }
 
 // Figure12 is the multi-client scalability test: 8 servers, 4..56
 // clients reading a shared file; the paper's speed-up peaks at 20.46 %
 // with 8 clients and decays to 1.39 % at 56.
-func Figure12() Experiment {
-	clientsSweep := []int{4, 8, 16, 24, 32, 48, 56}
-	var cells []Cell
-	for _, nc := range clientsSweep {
-		cfg := cluster.DefaultConfig()
-		cfg.Clients = nc
-		cfg.Servers = 8
-		cfg.SharedFiles = true
-		cfg.TransferSize = units.MiB
-		cfg.BytesPerProc = 8 * units.MiB
-		cells = append(cells, Cell{Label: fmt.Sprintf("%d clients", nc), Config: cfg})
+func Figure12() Study {
+	cfg := cluster.DefaultConfig()
+	cfg.Servers = 8
+	cfg.SharedFiles = true
+	cfg.TransferSize = units.MiB
+	cfg.BytesPerProc = 8 * units.MiB
+	var cells []Point
+	for _, nc := range []int{4, 8, 16, 24, 32, 48, 56} {
+		cells = append(cells, cell(fmt.Sprintf("%d clients", nc), func(c *cluster.Config) { c.Clients = nc }))
 	}
-	return Experiment{
-		ID:        "figure12",
-		Title:     "Multiple clients aggregate I/O bandwidth (8 servers)",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     cells,
-		Seeds:     3,
-		PaperNote: "speed-up peaks near clients=servers (20.46% at 8) then decays (1.39% at 56)",
-	}
+	return newFigure("figure12", "Multiple clients aggregate I/O bandwidth (8 servers)", cfg, cells,
+		figure{bandwidth, irqbalance, sais, "speed-up peaks near clients=servers (20.46% at 8) then decays (1.39% at 56)"})
 }
 
 // Figure14 is the §VI no-NIC-bottleneck study: the client "NIC" runs at
@@ -468,63 +325,40 @@ func Figure12() Experiment {
 // RAM-resident, sweeping the number of applications. The paper reports
 // a peak speed-up of 53.23 % and convergence once applications saturate
 // the cores.
-func Figure14() Experiment {
+func Figure14() Study {
 	memRate := units.Rate(5333 * units.MBps)
-	appsSweep := []int{1, 2, 4, 6, 8, 12, 16}
-	var cells []Cell
-	for _, apps := range appsSweep {
-		cfg := cluster.DefaultConfig()
-		cfg.ClientNICRate = memRate
-		cfg.ServerNICRate = memRate
-		cfg.FabricLatency = 2 * units.Microsecond
-		cfg.Servers = 8
-		cfg.ProcsPerClient = apps
-		cfg.TransferSize = units.MiB
-		cfg.BytesPerProc = 16 * units.MiB
-		// RAM-disk storage: no rotation, no seeks that matter, media at
-		// memory speed, everything cached.
-		cfg.Disk.MediaRate = memRate
-		cfg.Disk.RotationPeriod = 0
-		cfg.Disk.TrackToTrack = 0
-		cfg.Disk.FullSeek = 0
-		// With more applications than cores, the kernel timeslices them;
-		// 2 ms approximates CFS granularity under load.
-		cfg.TimesliceQuantum = 2 * units.Millisecond
-		cells = append(cells, Cell{Label: fmt.Sprintf("%d apps", apps), Config: cfg})
+	cfg := cluster.DefaultConfig()
+	cfg.ClientNICRate = memRate
+	cfg.ServerNICRate = memRate
+	cfg.FabricLatency = 2 * units.Microsecond
+	cfg.Servers = 8
+	cfg.TransferSize = units.MiB
+	cfg.BytesPerProc = 16 * units.MiB
+	// RAM-disk storage: no rotation, no seeks that matter, media at
+	// memory speed, everything cached.
+	cfg.Disk.MediaRate = memRate
+	cfg.Disk.RotationPeriod = 0
+	cfg.Disk.TrackToTrack = 0
+	cfg.Disk.FullSeek = 0
+	// With more applications than cores, the kernel timeslices them;
+	// 2 ms approximates CFS granularity under load.
+	cfg.TimesliceQuantum = 2 * units.Millisecond
+	var cells []Point
+	for _, apps := range []int{1, 2, 4, 6, 8, 12, 16} {
+		cells = append(cells, cell(fmt.Sprintf("%d apps", apps), func(c *cluster.Config) { c.ProcsPerClient = apps }))
 	}
-	return Experiment{
-		ID:        "figure14",
-		Title:     "Memory parallel I/O (RAM disk, §VI): no NIC bottleneck",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     cells,
-		Seeds:     3,
-		PaperNote: "peak speed-up 53.23% (bandwidth 3576 MB/s); variants converge once apps ≥ cores",
-	}
+	return newFigure("figure14", "Memory parallel I/O (RAM disk, §VI): no NIC bottleneck", cfg, cells,
+		figure{bandwidth, irqbalance, sais, "peak speed-up 53.23% (bandwidth 3576 MB/s); variants converge once apps ≥ cores"})
 }
 
 // WritesControl is the control experiment for the paper's §I scoping
 // claim: parallel writes have no interrupt-locality issue, so the
 // policies should tie on a write workload.
-func WritesControl() Experiment {
-	var cells []Cell
-	for _, ns := range serverSweep {
-		cfg := evalConfig(rate3G)
-		cfg.Servers = ns
-		cfg.WriteWorkload = true
-		cells = append(cells, Cell{Label: fmt.Sprintf("write/%d nodes", ns), Config: cfg})
-	}
-	return Experiment{
-		ID:        "writes",
-		Title:     "Parallel write control (§I: no locality issue on writes)",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     cells,
-		Seeds:     3,
-		PaperNote: "the paper studies reads only; writes should show ≈0 difference",
-	}
+func WritesControl() Study {
+	cfg := evalConfig(rate3G)
+	cfg.WriteWorkload = true
+	return newFigure("writes", "Parallel write control (§I: no locality issue on writes)", cfg, serverCells("write/%d nodes"),
+		figure{bandwidth, irqbalance, sais, "the paper studies reads only; writes should show ≈0 difference"})
 }
 
 // FlowHashComparison pits SAIs against an RSS/receive-flow-steering
@@ -533,45 +367,17 @@ func WritesControl() Experiment {
 // assignment is its hardware ancestor). Flow affinity keeps one
 // *server's* strips on one core, but a request's strips span servers,
 // so the merge still migrates.
-func FlowHashComparison() Experiment {
-	var cells []Cell
-	for _, ns := range serverSweep {
-		cfg := evalConfig(rate3G)
-		cfg.Servers = ns
-		cells = append(cells, Cell{Label: fmt.Sprintf("%d nodes", ns), Config: cfg})
-	}
-	return Experiment{
-		ID:        "flowhash",
-		Title:     "SAIs vs static flow-affinity (RSS-style) baseline",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyFlowHash,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     cells,
-		Seeds:     3,
-		PaperNote: "extension: flow affinity is not request affinity; SAIs should still win",
-	}
+func FlowHashComparison() Study {
+	return newFigure("flowhash", "SAIs vs static flow-affinity (RSS-style) baseline", evalConfig(rate3G), serverCells("%d nodes"),
+		figure{bandwidth, irqsched.PolicyFlowHash, sais, "extension: flow affinity is not request affinity; SAIs should still win"})
 }
 
 // HybridComparison evaluates the paper's §VIII future-work idea: the
 // source-aware hint with a load-threshold fallback, against plain
 // irqbalance. It should recover most of SAIs' gain.
-func HybridComparison() Experiment {
-	var cells []Cell
-	for _, ns := range serverSweep {
-		cfg := evalConfig(rate3G)
-		cfg.Servers = ns
-		cells = append(cells, Cell{Label: fmt.Sprintf("%d nodes", ns), Config: cfg})
-	}
-	return Experiment{
-		ID:        "hybrid",
-		Title:     "Hybrid source-aware + load fallback (paper §VIII future work)",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicyHybrid,
-		Cells:     cells,
-		Seeds:     3,
-		PaperNote: "extension: the integrated policy should retain most of the SAIs gain",
-	}
+func HybridComparison() Study {
+	return newFigure("hybrid", "Hybrid source-aware + load fallback (paper §VIII future work)", evalConfig(rate3G), serverCells("%d nodes"),
+		figure{bandwidth, irqbalance, irqsched.PolicyHybrid, "extension: the integrated policy should retain most of the SAIs gain"})
 }
 
 // SocketHintComparison is the hint-precision ablation: a socket-id
@@ -579,23 +385,9 @@ func HybridComparison() Experiment {
 // strips on the consumer's socket. It should recover a large share of
 // the exact-core gain — the intra-socket migration that remains is the
 // cheap kind.
-func SocketHintComparison() Experiment {
-	var cells []Cell
-	for _, ns := range serverSweep {
-		cfg := evalConfig(rate3G)
-		cfg.Servers = ns
-		cells = append(cells, Cell{Label: fmt.Sprintf("%d nodes", ns), Config: cfg})
-	}
-	return Experiment{
-		ID:        "sais-socket",
-		Title:     "Socket-granular hints vs irqbalance (hint-precision ablation)",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySocketAware,
-		Cells:     cells,
-		Seeds:     3,
-		PaperNote: "extension: a coarser hint still wins, since only cheap intra-socket migrations remain",
-	}
+func SocketHintComparison() Study {
+	return newFigure("sais-socket", "Socket-granular hints vs irqbalance (hint-precision ablation)", evalConfig(rate3G), serverCells("%d nodes"),
+		figure{bandwidth, irqbalance, irqsched.PolicySocketAware, "extension: a coarser hint still wins, since only cheap intra-socket migrations remain"})
 }
 
 // HardwareRSSComparison pits SAIs against MSI-X hardware RSS: one
@@ -603,29 +395,15 @@ func SocketHintComparison() Experiment {
 // the paper's related work calls "too inflexible to meet the change of
 // the data request source". The static table cannot follow requests,
 // so SAIs should win about as much as it does over software flowhash.
-func HardwareRSSComparison() Experiment {
-	var cells []Cell
-	for _, ns := range serverSweep {
-		cfg := evalConfig(rate3G)
-		cfg.Servers = ns
-		cells = append(cells, Cell{Label: fmt.Sprintf("%d nodes", ns), Config: cfg})
-	}
-	return Experiment{
-		ID:        "rss-hw",
-		Title:     "SAIs vs hardware RSS (static MSI-X vector table)",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyHardwareRSS,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     cells,
-		Seeds:     3,
-		PaperNote: "extension: static vector assignment cannot follow the request source (related work's Intel 82575/82599)",
-	}
+func HardwareRSSComparison() Study {
+	return newFigure("rss-hw", "SAIs vs hardware RSS (static MSI-X vector table)", evalConfig(rate3G), serverCells("%d nodes"),
+		figure{bandwidth, irqsched.PolicyHardwareRSS, sais, "extension: static vector assignment cannot follow the request source (related work's Intel 82575/82599)"})
 }
 
-// All returns every experiment in paper order, followed by the
-// extension studies.
-func All() []Experiment {
-	return []Experiment{
+// All returns every figure in paper order, followed by the extension
+// figures.
+func All() []Study {
+	return []Study{
 		Figure5(), Figure5OneGig(), Figure6(), Figure7(), Figure8(),
 		Figure9(), Figure10(), Figure11(), Figure12(), Figure14(),
 		WritesControl(), FlowHashComparison(), HybridComparison(),
@@ -633,17 +411,15 @@ func All() []Experiment {
 	}
 }
 
-// ByID resolves an experiment by its id ("figure5", "figure12", ...).
-func ByID(id string) (Experiment, error) {
+// ByID resolves a figure by its id ("figure5", "figure12", ...).
+func ByID(id string) (Study, error) {
+	var ids []string
 	for _, e := range All() {
 		if e.ID == id {
 			return e, nil
 		}
-	}
-	var ids []string
-	for _, e := range All() {
 		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)
-	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(ids, ", "))
+	return Study{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(ids, ", "))
 }

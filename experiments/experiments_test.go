@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"sais/cluster"
-	"sais/internal/irqsched"
+	"sais/internal/metrics"
 	"sais/internal/units"
 )
 
@@ -19,22 +19,24 @@ func TestAllFiguresDefined(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
-		if e.ID == "" || e.Title == "" || e.PaperNote == "" {
+		if e.ID == "" || e.Title == "" || e.figure == nil || e.figure.note == "" {
 			t.Errorf("experiment %+v missing identity fields", e.ID)
 		}
 		if seen[e.ID] {
 			t.Errorf("duplicate id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if len(e.Cells) == 0 {
+		if len(e.Points) == 0 {
 			t.Errorf("%s has no cells", e.ID)
 		}
 		if e.Seeds < 3 {
 			t.Errorf("%s averages %d seeds; the paper used at least 3", e.ID, e.Seeds)
 		}
-		for _, c := range e.Cells {
-			if err := c.Config.Validate(); err != nil {
-				t.Errorf("%s/%s: invalid config: %v", e.ID, c.Label, err)
+		for _, pt := range e.Points {
+			cfg := e.Config
+			pt.Set(&cfg)
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s/%v: invalid config: %v", e.ID, pt.Values, err)
 			}
 		}
 	}
@@ -52,13 +54,17 @@ func TestByID(t *testing.T) {
 
 func TestGridShape(t *testing.T) {
 	e := Figure5()
-	if len(e.Cells) != 16 {
-		t.Fatalf("figure5 cells = %d, want 16 (4 transfers × 4 server counts)", len(e.Cells))
+	if len(e.Points) != 32 {
+		t.Fatalf("figure5 points = %d, want 32 (4 transfers × 4 server counts × 2 policies)", len(e.Points))
 	}
-	// Each transfer size appears with each server count.
+	// Each transfer size appears with each server count, under both
+	// policies in turn.
 	labels := map[string]bool{}
-	for _, c := range e.Cells {
-		labels[c.Label] = true
+	for i, pt := range e.Points {
+		labels[pt.Values[0]] = true
+		if want := []string{"irqbalance", "sais"}[i%2]; pt.Values[1] != want {
+			t.Errorf("point %d policy = %s, want %s", i, pt.Values[1], want)
+		}
 	}
 	for _, want := range []string{"128KiB/8 nodes", "2MiB/48 nodes", "1MiB/32 nodes"} {
 		if !labels[want] {
@@ -68,25 +74,22 @@ func TestGridShape(t *testing.T) {
 }
 
 func TestMetricDirections(t *testing.T) {
-	if !MetricBandwidth.HigherIsBetter() {
+	if !bandwidth.higher {
 		t.Error("bandwidth direction")
 	}
-	for _, m := range []MetricKind{MetricMissRate, MetricUtilization, MetricUnhalted} {
-		if m.HigherIsBetter() {
-			t.Errorf("%v should be lower-is-better", m)
+	for _, m := range []metric{missRate, utilization, unhalted} {
+		if m.higher {
+			t.Errorf("%v should be lower-is-better", m.col.head)
 		}
 	}
 }
 
-// runSlice runs a reduced version of an experiment (one seed, the 1MiB
-// transfer row) — full figures run in the benchmark harness.
-func runSlice(t *testing.T, e Experiment, lo, hi int) *Report {
+// runSlice runs a reduced version of a figure (one seed, cells lo to
+// hi) — full figures run in the benchmark harness.
+func runSlice(t *testing.T, e Study, lo, hi int) *Report {
 	t.Helper()
 	e.Seeds = 1
-	if hi > len(e.Cells) {
-		hi = len(e.Cells)
-	}
-	e.Cells = e.Cells[lo:hi]
+	e.Points = e.Points[2*lo : 2*min(hi, len(e.Points)/2)]
 	rep, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +97,23 @@ func runSlice(t *testing.T, e Experiment, lo, hi int) *Report {
 	return rep
 }
 
+// cells keeps the given cells of a figure, both policies of each.
+func cells(e Study, idx ...int) []Point {
+	var pts []Point
+	for _, i := range idx {
+		pts = append(pts, e.Points[2*i], e.Points[2*i+1])
+	}
+	return pts
+}
+
 func TestFigure5SAIsWinsEverywhere(t *testing.T) {
 	rep := runSlice(t, Figure5(), 8, 12) // the 1MiB row
-	for _, c := range rep.Cells {
-		if c.Change <= 0 {
-			t.Errorf("%s: SAIs did not win (%.2f%%)", c.Label, c.Change*100)
+	for _, c := range rep.pairs() {
+		if c.change <= 0 {
+			t.Errorf("%s: SAIs did not win (%.2f%%)", c.label, c.change*100)
 		}
-		if c.Change > 0.6 {
-			t.Errorf("%s: speed-up %.2f%% implausibly large", c.Label, c.Change*100)
+		if c.change > 0.6 {
+			t.Errorf("%s: speed-up %.2f%% implausibly large", c.label, c.change*100)
 		}
 	}
 	best, _ := rep.BestChange()
@@ -125,18 +137,18 @@ func TestOneGigCompressesGain(t *testing.T) {
 
 func TestFigure7MissRateReduction(t *testing.T) {
 	rep := runSlice(t, Figure7(), 8, 12)
-	for _, c := range rep.Cells {
-		if c.Change < 0.2 || c.Change > 0.7 {
-			t.Errorf("%s: miss-rate reduction %.1f%% outside the paper's ≈40%% band", c.Label, c.Change*100)
+	for _, c := range rep.pairs() {
+		if c.change < 0.2 || c.change > 0.7 {
+			t.Errorf("%s: miss-rate reduction %.1f%% outside the paper's ≈40%% band", c.label, c.change*100)
 		}
 	}
 }
 
 func TestFigure11UnhaltedReduction(t *testing.T) {
 	rep := runSlice(t, Figure11(), 8, 12)
-	for _, c := range rep.Cells {
-		if c.Change <= 0.15 {
-			t.Errorf("%s: unhalted reduction %.1f%% too small (paper: up to 48.57%%)", c.Label, c.Change*100)
+	for _, c := range rep.pairs() {
+		if c.change <= 0.15 {
+			t.Errorf("%s: unhalted reduction %.1f%% too small (paper: up to 48.57%%)", c.label, c.change*100)
 		}
 	}
 }
@@ -144,12 +156,12 @@ func TestFigure11UnhaltedReduction(t *testing.T) {
 func TestFigure12PeaksThenDecays(t *testing.T) {
 	e := Figure12()
 	e.Seeds = 1
-	e.Cells = []Cell{e.Cells[1], e.Cells[5]} // 8 clients vs 48 clients
+	e.Points = cells(e, 1, 5) // 8 clients vs 48 clients
 	rep, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	at8, at48 := rep.Cells[0].Change, rep.Cells[1].Change
+	at8, at48 := rep.pairs()[0].change, rep.pairs()[1].change
 	if at8 <= at48 {
 		t.Errorf("speed-up at 8 clients (%.2f%%) not above 48 clients (%.2f%%)", at8*100, at48*100)
 	}
@@ -161,31 +173,23 @@ func TestFigure12PeaksThenDecays(t *testing.T) {
 func TestFigure14NoBottleneckGain(t *testing.T) {
 	e := Figure14()
 	e.Seeds = 1
-	e.Cells = []Cell{e.Cells[2]} // 4 apps
+	e.Points = cells(e, 2) // 4 apps
 	rep, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rep.Cells[0].Change
-	if got < 0.3 || got > 0.9 {
-		t.Errorf("no-bottleneck speed-up %.2f%% outside the paper's ≈53%% region", got*100)
+	c := rep.pairs()[0]
+	if c.change < 0.3 || c.change > 0.9 {
+		t.Errorf("no-bottleneck speed-up %.2f%% outside the paper's ≈53%% region", c.change*100)
 	}
 	// Bandwidth must far exceed the 3-Gbit figures.
-	if rep.Cells[0].Treatment.Mean() < 800 {
-		t.Errorf("treatment bandwidth %.0f MB/s too low for the memory-rate configuration",
-			rep.Cells[0].Treatment.Mean())
+	if got := c.treat.Stats[metricKey].Mean(); got < 800 {
+		t.Errorf("treatment bandwidth %.0f MB/s too low for the memory-rate configuration", got)
 	}
 }
 
 func TestReportTable(t *testing.T) {
-	e := Figure5()
-	e.Seeds = 1
-	e.Cells = e.Cells[:1]
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := rep.Table()
+	table := runSlice(t, Figure5(), 0, 1).Table()
 	for _, want := range []string{"figure5", "irqbalance", "sais", "peak change", "128KiB/8 nodes"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
@@ -194,7 +198,7 @@ func TestReportTable(t *testing.T) {
 }
 
 func TestEmptyExperimentRejected(t *testing.T) {
-	e := Experiment{ID: "empty"}
+	e := Study{ID: "empty", Seeds: 1}
 	if _, err := e.Run(); err == nil {
 		t.Error("empty experiment ran")
 	}
@@ -208,54 +212,28 @@ func TestEvalConfigScale(t *testing.T) {
 }
 
 func TestWritesControlTies(t *testing.T) {
-	e := WritesControl()
-	e.Seeds = 1
-	e.Cells = e.Cells[1:2] // 16 nodes
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := rep.Cells[0]
-	if c.Change > 0.05 || c.Change < -0.05 {
-		t.Errorf("write-path change %.2f%%; policies should tie", c.Change*100)
+	c := runSlice(t, WritesControl(), 1, 2).pairs()[0] // 16 nodes
+	if c.change > 0.05 || c.change < -0.05 {
+		t.Errorf("write-path change %.2f%%; policies should tie", c.change*100)
 	}
 }
 
 func TestHybridRetainsGain(t *testing.T) {
-	e := HybridComparison()
-	e.Seeds = 1
-	e.Cells = e.Cells[1:2] // 16 nodes
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Cells[0].Change; got < 0.08 {
-		t.Errorf("hybrid gain %.2f%% too small; should retain most of SAIs' gain", got*100)
+	c := runSlice(t, HybridComparison(), 1, 2).pairs()[0] // 16 nodes
+	if c.change < 0.08 {
+		t.Errorf("hybrid gain %.2f%% too small; should retain most of SAIs' gain", c.change*100)
 	}
 }
 
 func TestFlowHashLosesToSAIs(t *testing.T) {
-	e := FlowHashComparison()
-	e.Seeds = 1
-	e.Cells = e.Cells[1:2]
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Cells[0].Change; got <= 0 {
-		t.Errorf("SAIs did not beat flow-affinity: %.2f%%", got*100)
+	c := runSlice(t, FlowHashComparison(), 1, 2).pairs()[0]
+	if c.change <= 0 {
+		t.Errorf("SAIs did not beat flow-affinity: %.2f%%", c.change*100)
 	}
 }
 
 func TestReportChart(t *testing.T) {
-	e := Figure5()
-	e.Seeds = 1
-	e.Cells = e.Cells[:2]
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chart, err := rep.Chart()
+	chart, err := runSlice(t, Figure5(), 0, 2).Chart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +242,15 @@ func TestReportChart(t *testing.T) {
 			t.Errorf("chart missing %q:\n%s", want, chart)
 		}
 	}
+	if _, err := (&Report{ID: "degraded"}).Chart(); err == nil {
+		t.Error("a study that is not a figure charted")
+	}
 }
 
 func TestReportCSV(t *testing.T) {
 	e := Figure5()
+	e.Points = cells(e, 0)
 	e.Seeds = 2
-	e.Cells = e.Cells[:1]
 	rep, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -288,13 +269,7 @@ func TestReportCSV(t *testing.T) {
 }
 
 func TestWriteHTML(t *testing.T) {
-	e := Figure5()
-	e.Seeds = 1
-	e.Cells = e.Cells[:2]
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSlice(t, Figure5(), 0, 2)
 	var buf strings.Builder
 	if err := WriteHTML(&buf, []*Report{rep}, "2012-05-21 (injected)"); err != nil {
 		t.Fatal(err)
@@ -314,6 +289,9 @@ func TestWriteHTML(t *testing.T) {
 	if again.String() != out {
 		t.Error("WriteHTML is not byte-stable across identical inputs")
 	}
+	if err := WriteHTML(&again, []*Report{{ID: "degraded"}}, "now"); err == nil {
+		t.Error("WriteHTML rendered a study that is not a figure")
+	}
 }
 
 // failingWriter errors on every write, like a full disk.
@@ -322,7 +300,7 @@ type failingWriter struct{}
 func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestWriteHTMLPropagatesWriterError(t *testing.T) {
-	rep := &Report{ID: "x", Title: "x", Cells: []CellResult{{Label: "c"}}}
+	rep := &Report{ID: "x", Title: "x", figure: &figure{metric: bandwidth}}
 	if err := WriteHTML(failingWriter{}, []*Report{rep}, "now"); err == nil {
 		t.Error("WriteHTML to a failing writer returned nil")
 	}
@@ -331,7 +309,7 @@ func TestWriteHTMLPropagatesWriterError(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	e := Figure5()
 	e.Seeds = 1
-	e.Cells = e.Cells[:4]
+	e.Points = e.Points[:8]
 	seq, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -341,45 +319,48 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range seq.Cells {
-		if seq.Cells[i].Label != par.Cells[i].Label ||
-			seq.Cells[i].Baseline.Mean() != par.Cells[i].Baseline.Mean() ||
-			seq.Cells[i].Treatment.Mean() != par.Cells[i].Treatment.Mean() {
-			t.Errorf("cell %d differs: %+v vs %+v", i, seq.Cells[i], par.Cells[i])
+	for i, s := range seq.pairs() {
+		p := par.pairs()[i]
+		if s.label != p.label || s.change != p.change ||
+			s.base.Stats[metricKey].Mean() != p.base.Stats[metricKey].Mean() ||
+			s.treat.Stats[metricKey].Mean() != p.treat.Stats[metricKey].Mean() {
+			t.Errorf("cell %d differs: %+v vs %+v", i, s, p)
 		}
 	}
 }
 
-// tinyExperiment is a fast synthetic experiment for orchestration
-// tests: `cells` small independent cells over the default policies.
-func tinyExperiment(cells int) Experiment {
-	var cs []Cell
-	for i := 0; i < cells; i++ {
-		cfg := cluster.DefaultConfig()
-		cfg.Servers = 4 + 2*i
-		cfg.BytesPerProc = 4 * units.MiB
-		cs = append(cs, Cell{Label: fmt.Sprintf("cell-%d", i), Config: cfg})
+// tinyExperiment is a fast synthetic figure for orchestration tests:
+// `cells` small independent cells over the default policies.
+func tinyExperiment(cells int) Study {
+	cfg := cluster.DefaultConfig()
+	cfg.BytesPerProc = 4 * units.MiB
+	var cs []Point
+	for i := range cells {
+		cs = append(cs, cell(fmt.Sprintf("cell-%d", i), func(c *cluster.Config) { c.Servers = 4 + 2*i }))
 	}
-	return Experiment{
-		ID:        "tiny",
-		Title:     "orchestration test experiment",
-		Metric:    MetricBandwidth,
-		Baseline:  irqsched.PolicyIrqbalance,
-		Treatment: irqsched.PolicySourceAware,
-		Cells:     cs,
-		Seeds:     2,
-	}
+	e := newFigure("tiny", "orchestration test experiment", cfg, cs, figure{bandwidth, irqbalance, sais, ""})
+	e.Seeds = 2
+	return e
+}
+
+// figureRow is a one-seed figure row with the given metric value.
+func figureRow(label, policy string, v float64) Row {
+	s := &metrics.Summary{}
+	s.Add(v)
+	return Row{Point: Point{Values: []string{label, policy}}, Stats: map[string]*metrics.Summary{metricKey: s}}
 }
 
 func TestBestChangeAllRegress(t *testing.T) {
-	rep := &Report{Cells: []CellResult{
-		{Label: "a", Change: -0.30},
-		{Label: "b", Change: -0.05},
-		{Label: "c", Change: -0.12},
-	}}
+	rep := &Report{figure: &figure{metric: bandwidth}}
+	for _, c := range []struct {
+		label string
+		treat float64
+	}{{"a", 0.5}, {"b", 0.875}, {"c", 0.75}} {
+		rep.Rows = append(rep.Rows, figureRow(c.label, "irqbalance", 1), figureRow(c.label, "sais", c.treat))
+	}
 	best, label := rep.BestChange()
-	if label != "b" || best != -0.05 {
-		t.Errorf("BestChange = (%v, %q), want the least-bad cell (-0.05, \"b\")", best, label)
+	if label != "b" || best != -0.125 {
+		t.Errorf("BestChange = (%v, %q), want the least-bad cell (-0.125, \"b\")", best, label)
 	}
 	if _, label := (&Report{}).BestChange(); label != "" {
 		t.Errorf("empty report returned label %q", label)
@@ -387,15 +368,13 @@ func TestBestChangeAllRegress(t *testing.T) {
 }
 
 // TestFirstCellErrorCancelsRest pins the orchestration error path: the
-// first failing cell must stop the experiment — later queued cells are
-// never executed (counted via Progress) and the report carries only
-// the cells that completed before the failure.
+// first failing row must stop the figure, later queued rows are never
+// executed, and the report keeps only the cells both of whose rows
+// completed before the failure.
 func TestFirstCellErrorCancelsRest(t *testing.T) {
 	e := tinyExperiment(6)
 	e.Seeds = 1
-	e.Cells[2].Config.Servers = 0 // fails Config.Validate immediately
-	var executed int
-	e.Progress = func(done, total int) { executed = done }
+	e.Points[5].Set = func(c *cluster.Config) { c.Servers = 0 } // cell-2's treatment fails Config.Validate
 	rep, err := e.RunContext(context.Background())
 	if err == nil {
 		t.Fatal("experiment with an invalid cell succeeded")
@@ -403,11 +382,12 @@ func TestFirstCellErrorCancelsRest(t *testing.T) {
 	if !strings.Contains(err.Error(), "cell-2") {
 		t.Errorf("error %q does not name the failing cell", err)
 	}
-	if executed != 2 {
-		t.Errorf("executed %d cells after the failure at index 2, want exactly 2", executed)
+	if len(rep.Rows) != 5 {
+		t.Errorf("report kept %d rows after the failure at index 5, want exactly 5", len(rep.Rows))
 	}
-	if len(rep.Cells) != 2 || rep.Cells[0].Label != "cell-0" || rep.Cells[1].Label != "cell-1" {
-		t.Errorf("partial report cells = %+v, want the two completed cells", rep.Cells)
+	pairs := rep.pairs()
+	if len(pairs) != 2 || pairs[0].label != "cell-0" || pairs[1].label != "cell-1" {
+		t.Errorf("partial report cells = %+v, want the two completed cells", pairs)
 	}
 }
 
@@ -441,7 +421,7 @@ func TestRunContextCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep == nil || len(rep.Cells) != 0 {
-		t.Errorf("pre-cancelled run reported cells: %+v", rep)
+	if rep == nil || len(rep.Rows) != 0 {
+		t.Errorf("pre-cancelled run reported rows: %+v", rep)
 	}
 }

@@ -77,7 +77,7 @@ paper: {{.PaperNote}}<br>peak change: <span class="pos">{{.Peak}}</span></p>
 </html>
 `))
 
-// WriteHTML renders the reports as one self-contained HTML document.
+// WriteHTML renders figure reports as one self-contained HTML document.
 // generated is the caller-supplied report timestamp (cmd/experiments
 // passes the wall clock, tests pass a constant): keeping the clock out
 // of this package makes the report byte-stable for a given input, the
@@ -86,36 +86,37 @@ func WriteHTML(w io.Writer, reports []*Report, generated string) error {
 	ctx := htmlReport{Generated: generated}
 	const barMax = 180.0
 	for _, r := range reports {
+		f := r.figure
+		if f == nil {
+			return fmt.Errorf("experiments: %s is not a figure", r.ID)
+		}
 		fig := &htmlFigure{
 			ID:        r.ID,
 			Title:     r.Title,
-			Metric:    r.Metric.String(),
-			Baseline:  r.Baseline,
-			Treatment: r.Treatment,
-			PaperNote: r.PaperNote,
+			Metric:    f.metric.col.head,
+			Baseline:  f.baseline.String(),
+			Treatment: f.treatment.String(),
+			PaperNote: f.note,
 		}
 		peak, label := r.BestChange()
 		fig.Peak = fmt.Sprintf("%+.2f%% at %s", peak*100, label)
+		pairs := r.pairs()
 		maxVal := 0.0
-		for _, c := range r.Cells {
-			if v := c.Baseline.Mean(); v > maxVal {
-				maxVal = v
-			}
-			if v := c.Treatment.Mean(); v > maxVal {
-				maxVal = v
-			}
+		for _, p := range pairs {
+			maxVal = max(maxVal, p.base.Stats[metricKey].Mean(), p.treat.Stats[metricKey].Mean())
 		}
-		for _, c := range r.Cells {
+		for _, p := range pairs {
+			base, treat := p.base.Stats[metricKey], p.treat.Stats[metricKey]
 			row := htmlRow{
-				Label:         c.Label,
-				Baseline:      fmt.Sprintf("%.4g ± %.2g", c.Baseline.Mean(), c.Baseline.CI95()),
-				Treatment:     fmt.Sprintf("%.4g ± %.2g", c.Treatment.Mean(), c.Treatment.CI95()),
-				Change:        fmt.Sprintf("%+.2f%%", c.Change*100),
-				ChangePercent: c.Change * 100,
+				Label:         p.label,
+				Baseline:      fmt.Sprintf("%.4g ± %.2g", base.Mean(), base.CI95()),
+				Treatment:     fmt.Sprintf("%.4g ± %.2g", treat.Mean(), treat.CI95()),
+				Change:        fmt.Sprintf("%+.2f%%", p.change*100),
+				ChangePercent: p.change * 100,
 			}
 			if maxVal > 0 {
-				row.BarBase = c.Baseline.Mean() / maxVal * barMax
-				row.BarTreat = c.Treatment.Mean() / maxVal * barMax
+				row.BarBase = base.Mean() / maxVal * barMax
+				row.BarTreat = treat.Mean() / maxVal * barMax
 			}
 			fig.Rows = append(fig.Rows, row)
 		}

@@ -109,7 +109,8 @@ func TestPaperClaims(t *testing.T) {
 	t.Run("no-nic-bottleneck-gain-near-fifty", func(t *testing.T) {
 		// Paper §VI: +53.23 % with the client at memory rate.
 		e := Figure14()
-		cfg := e.Cells[2].Config // 4 apps
+		cfg := e.Config
+		e.Points[4].Set(&cfg) // 4 apps
 		base, sais := pair(t, cfg)
 		if got := speedup(base, sais); got < 0.30 || got > 0.80 {
 			t.Errorf("no-bottleneck speed-up %.1f%% outside [30%%, 80%%] (paper: 53.23%%)", got*100)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,15 +16,27 @@ import (
 // tinySweep is a reduced degraded sweep for unit tests: two loss rates,
 // the full policy set, one seed.
 func tinySweep() Study {
-	d := Degraded()
-	d.Points = []Point{LossPoint(0), LossPoint(0.05)}
+	d := Degraded(0, 0.05)
 	d.Seeds = 1
 	return d
 }
 
+// means returns every column's mean over the seeds; with one seed, an
+// event count's mean is its total.
+func means(r Row) map[string]float64 {
+	m := map[string]float64{}
+	for k, s := range r.Stats {
+		m[k] = s.Mean()
+	}
+	return m
+}
+
+// policyOf is the row's policy, its last key.
+func policyOf(r Row) string { return r.Point.Values[len(r.Point.Values)-1] }
+
 // TestStudiesDeterministic runs every study at its defaults: the rows
-// are points × policies in point-major order, and the worker count does
-// not change a byte of the CSV or the table.
+// are the points in order, the policy the last key, and the worker
+// count does not change a byte of the CSV or the table.
 func TestStudiesDeterministic(t *testing.T) {
 	for _, s := range Studies() {
 		t.Run(s.ID, func(t *testing.T) {
@@ -31,13 +44,15 @@ func TestStudiesDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := len(s.Points) * len(s.Policies); len(serial.Rows) != want {
-				t.Fatalf("rows = %d, want %d", len(serial.Rows), want)
+			if len(serial.Rows) != len(s.Points) {
+				t.Fatalf("rows = %d, want %d", len(serial.Rows), len(s.Points))
 			}
 			for i, row := range serial.Rows {
-				pt, pol := s.Points[i/len(s.Policies)], s.Policies[i%len(s.Policies)]
-				if row.Point.Name != pt.Name || row.Policy != pol.String() {
-					t.Errorf("row %d = %s/%s, want %s/%s", i, row.Point.Name, row.Policy, pt.Name, pol)
+				if want := s.Points[i].Values; !slices.Equal(row.Point.Values, want) {
+					t.Errorf("row %d = %v, want %v", i, row.Point.Values, want)
+				}
+				if _, err := irqsched.ParsePolicy(policyOf(row)); err != nil {
+					t.Errorf("row %d: last key %q is not a policy", i, policyOf(row))
 				}
 			}
 			assertSameAt(t, s, serial, 3)
@@ -47,7 +62,7 @@ func TestStudiesDeterministic(t *testing.T) {
 
 // assertSameAt reruns s with the given worker count and fails unless
 // its CSV and table match serial byte for byte.
-func assertSameAt(t *testing.T, s Study, serial *StudyReport, parallel int) {
+func assertSameAt(t *testing.T, s Study, serial *Report, parallel int) {
 	t.Helper()
 	s.Parallel = parallel
 	rep, err := s.Run()
@@ -93,38 +108,38 @@ func TestDegradedSweepShapeAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(d.Points) * len(d.Policies); len(rep.Rows) != want {
+	if want := 2 * len(DegradedPolicies); len(rep.Rows) != want {
 		t.Fatalf("cells = %d, want %d", len(rep.Rows), want)
 	}
 	for _, c := range rep.Rows {
-		v := c.Values
-		if c.Point.CSV == "0" {
+		v, pol, loss := means(c), policyOf(c), c.Point.label(0)
+		if c.Point.Values[0] == "0" {
 			if v["strips_retried"] != 0 || v["frames_dropped"] != 0 {
 				t.Errorf("%s at 0%% loss retried %g strips, dropped %g frames",
-					c.Policy, v["strips_retried"], v["frames_dropped"])
+					pol, v["strips_retried"], v["frames_dropped"])
 			}
 		} else {
 			if v["frames_dropped"] == 0 || v["strips_retried"] == 0 {
-				t.Errorf("%s at %s loss shows no fault activity", c.Policy, c.Point.Name)
+				t.Errorf("%s at %s loss shows no fault activity", pol, loss)
 			}
 		}
 		// The acceptance bar: every policy completes at 5% loss with the
 		// retry budget — no unaccounted lost operations.
 		if v["failed_ops"] != 0 {
-			t.Errorf("%s at %s loss failed %g ops", c.Policy, c.Point.Name, v["failed_ops"])
+			t.Errorf("%s at %s loss failed %g ops", pol, loss, v["failed_ops"])
 		}
 		if g := v["goodput"]; g != 1 {
-			t.Errorf("%s at %s loss goodput %.4f, want 1.0", c.Policy, c.Point.Name, g)
+			t.Errorf("%s at %s loss goodput %.4f, want 1.0", pol, loss, g)
 		}
 		if v["latency_mean_ms"] <= 0 || v["latency_p99_ms"] < v["latency_mean_ms"] {
 			t.Errorf("%s latency books inconsistent: mean %.3f p99 %.3f",
-				c.Policy, v["latency_mean_ms"], v["latency_p99_ms"])
+				pol, v["latency_mean_ms"], v["latency_p99_ms"])
 		}
 	}
 	// Loss degrades latency for every policy.
-	for i, pol := range d.Policies {
-		healthy := rep.Rows[i].Values["latency_p99_ms"]
-		lossy := rep.Rows[len(d.Policies)+i].Values["latency_p99_ms"]
+	for i, pol := range DegradedPolicies {
+		healthy := means(rep.Rows[i])["latency_p99_ms"]
+		lossy := means(rep.Rows[len(DegradedPolicies)+i])["latency_p99_ms"]
 		if lossy <= healthy {
 			t.Errorf("%v: P99 %.3f at 5%% loss not above healthy %.3f", pol, lossy, healthy)
 		}
@@ -154,28 +169,28 @@ func TestChaosScenarioRecoveryAccounting(t *testing.T) {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
 	for _, row := range rep.Rows {
-		v := row.Values
+		v, pol := means(row), policyOf(row)
 		if v["crashes"] != 1 {
-			t.Errorf("%s: crashes = %g, want 1", row.Policy, v["crashes"])
+			t.Errorf("%s: crashes = %g, want 1", pol, v["crashes"])
 		}
 		if want := 30 * units.Millisecond; units.Time(v["downtime_ns"]) != want {
-			t.Errorf("%s: downtime = %v, want %v", row.Policy, units.Time(v["downtime_ns"]), want)
+			t.Errorf("%s: downtime = %v, want %v", pol, units.Time(v["downtime_ns"]), want)
 		}
 		if v["recovery_ns"] <= 0 {
-			t.Errorf("%s: no recovery time recorded", row.Policy)
+			t.Errorf("%s: no recovery time recorded", pol)
 		}
 		if v["strips_retried"] == 0 {
-			t.Errorf("%s: rode through a 30ms outage without retries", row.Policy)
+			t.Errorf("%s: rode through a 30ms outage without retries", pol)
 		}
 		if v["failed_ops"] != 0 {
-			t.Errorf("%s: %g ops failed despite the retry budget", row.Policy, v["failed_ops"])
+			t.Errorf("%s: %g ops failed despite the retry budget", pol, v["failed_ops"])
 		}
 	}
 }
 
 // TestDegradedSweepValidatesInput covers the error paths.
 func TestDegradedSweepValidatesInput(t *testing.T) {
-	d := Study{Config: cluster.DefaultConfig()}
+	d := Study{Config: cluster.DefaultConfig(), Seeds: 1}
 	if _, err := d.Run(); err == nil {
 		t.Error("sweep without loss rates or policies ran")
 	}
@@ -184,13 +199,19 @@ func TestDegradedSweepValidatesInput(t *testing.T) {
 	if _, err := bad.Run(); err == nil {
 		t.Error("invalid cell config accepted")
 	}
+	for _, seeds := range []int{0, -1} {
+		noSeeds := tinySweep()
+		noSeeds.Seeds = seeds
+		if _, err := noSeeds.Run(); err == nil || !strings.Contains(err.Error(), "seeds") {
+			t.Errorf("Seeds %d: err = %v, want a seed-count error", seeds, err)
+		}
+	}
 }
 
 // smallGraceful shrinks the default study for test turnaround: one
 // policy, a 4-server cluster, the same permanent crash.
 func smallGraceful() Study {
 	g := GracefulDegradation()
-	g.Policies = []irqsched.PolicyKind{irqsched.PolicySourceAware}
 	cfg := cluster.DefaultConfig()
 	cfg.Servers = 4
 	cfg.TransferSize = 256 * units.KiB
@@ -203,7 +224,8 @@ func smallGraceful() Study {
 		{At: units.Millisecond, Kind: faults.KindCrash, Server: 0},
 	}}
 	g.Config = cfg
-	g.Points = []Point{deadlinePoint(0), deadlinePoint(30 * units.Millisecond)}
+	g.Points = cross([]Point{deadlinePoint(0), deadlinePoint(30 * units.Millisecond)},
+		[]irqsched.PolicyKind{irqsched.PolicySourceAware})
 	return g
 }
 
@@ -219,8 +241,8 @@ func TestGracefulDegradationSalvages(t *testing.T) {
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rep.Rows))
 	}
-	hard, soft := rep.Rows[0].Values, rep.Rows[1].Values
-	if rep.Rows[0].Point.CSV != "0" || rep.Rows[1].Point.CSV == "0" {
+	hard, soft := means(rep.Rows[0]), means(rep.Rows[1])
+	if rep.Rows[0].Point.Values[0] != "0" || rep.Rows[1].Point.Values[0] == "0" {
 		t.Fatalf("row order: %+v / %+v", rep.Rows[0], rep.Rows[1])
 	}
 	if hard["failed_ops"] == 0 {
@@ -264,15 +286,16 @@ func TestNoisyNeighborBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rep.Rows {
-		offered, served := row.Values["bg_offered_bytes"], row.Values["bg_served_bytes"]
-		if row.Point.Name == "0" {
+		v, pol, load := means(row), policyOf(row), row.Point.Values[0]
+		offered, served := v["bg_offered_bytes"], v["bg_served_bytes"]
+		if load == "0" {
 			if offered != 0 || served != 0 {
-				t.Errorf("%s at load 0: background offered %g, served %g", row.Policy, offered, served)
+				t.Errorf("%s at load 0: background offered %g, served %g", pol, offered, served)
 			}
 			continue
 		}
 		if offered == 0 || served > offered {
-			t.Errorf("%s at load %s: background served %g of %g offered", row.Policy, row.Point.Name, served, offered)
+			t.Errorf("%s at load %s: background served %g of %g offered", pol, load, served, offered)
 		}
 	}
 }
@@ -295,11 +318,9 @@ func TestStudyRunContextCancelled(t *testing.T) {
 // study, and the report keeps the rows completed before it.
 func TestStudyFirstErrorCancelsRest(t *testing.T) {
 	s := tinySweep()
-	s.Policies = []irqsched.PolicyKind{irqsched.PolicySourceAware}
-	bad := Point{Name: "bad", CSV: "bad", Set: func(c *cluster.Config) { c.Servers = 0 }}
-	s.Points = []Point{LossPoint(0), LossPoint(0.01), bad, LossPoint(0.02), LossPoint(0.03), LossPoint(0.04)}
-	var executed int
-	s.Progress = func(done, total int) { executed = done }
+	bad := Point{Values: []string{"bad"}, Set: func(c *cluster.Config) { c.Servers = 0 }}
+	s.Points = cross([]Point{LossPoint(0), LossPoint(0.01), bad, LossPoint(0.02), LossPoint(0.03), LossPoint(0.04)},
+		[]irqsched.PolicyKind{irqsched.PolicySourceAware})
 	rep, err := s.RunContext(context.Background())
 	if err == nil {
 		t.Fatal("study with an invalid point succeeded")
@@ -307,10 +328,7 @@ func TestStudyFirstErrorCancelsRest(t *testing.T) {
 	if !strings.Contains(err.Error(), "bad") {
 		t.Errorf("error %q does not name the failing point", err)
 	}
-	if executed != 2 {
-		t.Errorf("executed %d cells after the failure at index 2, want exactly 2", executed)
-	}
-	if len(rep.Rows) != 2 || rep.Rows[0].Point.Name != "0%" || rep.Rows[1].Point.Name != "1%" {
+	if len(rep.Rows) != 2 || rep.Rows[0].Point.label(0) != "0%" || rep.Rows[1].Point.label(0) != "1%" {
 		t.Errorf("partial report rows = %+v, want the two completed rows", rep.Rows)
 	}
 }

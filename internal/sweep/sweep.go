@@ -2,23 +2,21 @@
 //
 //	servers=8,16,32 policy=irqbalance,sais transfer=128KiB,1MiB
 //
-// into the Cartesian product of cluster configurations and runs them,
-// producing one CSV row per point — the general-purpose companion to
-// the fixed per-figure sweeps in the experiments package.
+// into the Cartesian product of study points, which experiments.Sweep
+// runs as a study with one CSV row per point — the general-purpose
+// companion to the fixed figures and studies in the experiments package.
 package sweep
 
 import (
-	"context"
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"sais/cluster"
-	"sais/internal/faults"
+	"sais/experiments"
 	"sais/internal/irqsched"
-	"sais/internal/runner"
 	"sais/internal/units"
 )
 
@@ -48,62 +46,68 @@ func ParseDim(spec string) (Dim, error) {
 	return Dim{Name: name, Values: values}, nil
 }
 
-// setter applies one string value to a configuration.
-type setter func(cfg *cluster.Config, value string) error
+// setter parses one string value into the change it makes to a
+// configuration.
+type setter func(value string) (func(*cluster.Config), error)
 
 func intSetter(apply func(*cluster.Config, int)) setter {
-	return func(cfg *cluster.Config, v string) error {
+	return func(v string) (func(*cluster.Config), error) {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return fmt.Errorf("sweep: %q is not an integer", v)
+			return nil, fmt.Errorf("sweep: %q is not an integer", v)
 		}
-		apply(cfg, n)
-		return nil
+		return func(c *cluster.Config) { apply(c, n) }, nil
 	}
 }
 
 func floatSetter(apply func(*cluster.Config, float64)) setter {
-	return func(cfg *cluster.Config, v string) error {
+	return func(v string) (func(*cluster.Config), error) {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			return fmt.Errorf("sweep: %q is not a number", v)
+			return nil, fmt.Errorf("sweep: %q is not a number", v)
 		}
-		apply(cfg, f)
-		return nil
+		return func(c *cluster.Config) { apply(c, f) }, nil
 	}
 }
 
 func bytesSetter(apply func(*cluster.Config, units.Bytes)) setter {
-	return func(cfg *cluster.Config, v string) error {
+	return func(v string) (func(*cluster.Config), error) {
 		b, err := units.ParseBytes(v)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		apply(cfg, b)
-		return nil
+		return func(c *cluster.Config) { apply(c, b) }, nil
 	}
 }
 
 func boolSetter(apply func(*cluster.Config, bool)) setter {
-	return func(cfg *cluster.Config, v string) error {
+	return func(v string) (func(*cluster.Config), error) {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			return fmt.Errorf("sweep: %q is not a bool", v)
+			return nil, fmt.Errorf("sweep: %q is not a bool", v)
 		}
-		apply(cfg, b)
-		return nil
+		return func(c *cluster.Config) { apply(c, b) }, nil
 	}
 }
 
-// setters maps dimension names to field mutators.
+func timeSetter(apply func(*cluster.Config, units.Time)) setter {
+	return func(v string) (func(*cluster.Config), error) {
+		d, err := units.ParseTime(v)
+		if err != nil {
+			return nil, err
+		}
+		return func(c *cluster.Config) { apply(c, d) }, nil
+	}
+}
+
+// setters maps dimension names to their value parsers.
 var setters = map[string]setter{
-	"policy": func(cfg *cluster.Config, v string) error {
+	"policy": func(v string) (func(*cluster.Config), error) {
 		p, err := irqsched.ParsePolicy(v)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cfg.Policy = p
-		return nil
+		return func(c *cluster.Config) { c.Policy = p }, nil
 	},
 	"servers":  intSetter(func(c *cluster.Config, n int) { c.Servers = n }),
 	"clients":  intSetter(func(c *cluster.Config, n int) { c.Clients = n }),
@@ -121,7 +125,7 @@ var setters = map[string]setter{
 		c.ServerNICRate = units.Rate(f) * units.Gigabit
 	}),
 	"migrate":     floatSetter(func(c *cluster.Config, f float64) { c.MigrateDuringBlock = f }),
-	"loss":        floatSetter(SetLoss),
+	"loss":        floatSetter(func(c *cluster.Config, f float64) { experiments.LossPoint(f).Set(c) }),
 	"transfer":    bytesSetter(func(c *cluster.Config, b units.Bytes) { c.TransferSize = b }),
 	"strip":       bytesSetter(func(c *cluster.Config, b units.Bytes) { c.StripSize = b }),
 	"bytes":       bytesSetter(func(c *cluster.Config, b units.Bytes) { c.BytesPerProc = b }),
@@ -131,33 +135,8 @@ var setters = map[string]setter{
 	"random":      boolSetter(func(c *cluster.Config, b bool) { c.RandomAccess = b }),
 	"segmented":   boolSetter(func(c *cluster.Config, b bool) { c.Segmented = b }),
 	"currentcore": boolSetter(func(c *cluster.Config, b bool) { c.CurrentCoreHint = b }),
-	"quantum": func(cfg *cluster.Config, v string) error {
-		d, err := units.ParseTime(v)
-		if err != nil {
-			return err
-		}
-		cfg.TimesliceQuantum = d
-		return nil
-	},
-	"remoteline": func(cfg *cluster.Config, v string) error {
-		d, err := units.ParseTime(v)
-		if err != nil {
-			return err
-		}
-		cfg.Costs.RemoteLine = d
-		return nil
-	},
-}
-
-// SetLoss writes the loss rate into a plan of the config's own: points
-// run concurrently, so none may write to a plan another point holds.
-func SetLoss(c *cluster.Config, f float64) {
-	p := c.Faults.Clone()
-	if p == nil {
-		p = &faults.Plan{}
-	}
-	p.Loss = f
-	c.Faults = p
+	"quantum":     timeSetter(func(c *cluster.Config, d units.Time) { c.TimesliceQuantum = d }),
+	"remoteline":  timeSetter(func(c *cluster.Config, d units.Time) { c.Costs.RemoteLine = d }),
 }
 
 // Names lists the settable dimension names, sorted.
@@ -171,86 +150,41 @@ func Names() []string {
 	return out
 }
 
-// Point is one configuration in the product, with its dimension values.
-type Point struct {
-	Values map[string]string
-	Config cluster.Config
-}
-
-// Product expands the Cartesian product of dims over base.
-func Product(base cluster.Config, dims []Dim) ([]Point, error) {
-	points := []Point{{Values: map[string]string{}, Config: base}}
+// Product expands the Cartesian product of dims into study points, the
+// first dimension slowest. Each point's values are its dimension values
+// in dims order. A dimension named twice is an error, since the later
+// one would overwrite the earlier.
+func Product(dims []Dim) ([]experiments.Point, error) {
+	points := []experiments.Point{{}}
+	seen := map[string]bool{}
 	for _, d := range dims {
-		set, ok := setters[d.Name]
+		parse, ok := setters[d.Name]
 		if !ok {
 			return nil, fmt.Errorf("sweep: unknown dimension %q", d.Name)
 		}
-		var next []Point
+		if seen[d.Name] {
+			return nil, fmt.Errorf("sweep: dimension %q given twice", d.Name)
+		}
+		seen[d.Name] = true
+		var next []experiments.Point
 		for _, p := range points {
 			for _, v := range d.Values {
-				cfg := p.Config
-				if err := set(&cfg, v); err != nil {
+				apply, err := parse(v)
+				if err != nil {
 					return nil, fmt.Errorf("sweep: %s=%s: %w", d.Name, v, err)
 				}
-				vals := make(map[string]string, len(p.Values)+1)
-				maps.Copy(vals, p.Values)
-				vals[d.Name] = v
-				next = append(next, Point{Values: vals, Config: cfg})
+				next = append(next, experiments.Point{
+					Values: append(slices.Clip(p.Values), v),
+					Set: func(c *cluster.Config) {
+						if p.Set != nil {
+							p.Set(c)
+						}
+						apply(c)
+					},
+				})
 			}
 		}
 		points = next
 	}
 	return points, nil
-}
-
-// CSVHeader returns the header row for the given dimensions.
-func CSVHeader(dims []Dim) string {
-	names := make([]string, len(dims))
-	for i, d := range dims {
-		names[i] = d.Name
-	}
-	return strings.Join(append(names,
-		"bandwidth_MBps", "miss_rate", "cpu_util", "unhalted_cycles",
-		"migrated_lines", "nic_busy", "disk_busy"), ",")
-}
-
-// Rows runs every point — up to parallel at once on the shared
-// internal/runner engine — and returns one CSV row per point, in point
-// order regardless of completion order. The first point error or a
-// cancelled ctx stops in-flight runs promptly and skips queued points;
-// the returned slice then still holds every row completed so far
-// (unfinished slots are empty strings), so interrupted sweeps can
-// print partial results.
-func Rows(ctx context.Context, dims []Dim, points []Point, parallel int) ([]string, error) {
-	//lint:goroutine runner.Map joins all workers and returns rows in point order; per-cell output is seed-deterministic
-	return runner.Map(ctx, len(points), runner.Options{Workers: parallel},
-		func(ctx context.Context, i int) (string, error) {
-			return csvRow(ctx, dims, points[i])
-		})
-}
-
-// CSVRow runs one point and formats its result row.
-func CSVRow(dims []Dim, p Point) (string, error) {
-	return csvRow(context.Background(), dims, p)
-}
-
-func csvRow(ctx context.Context, dims []Dim, p Point) (string, error) {
-	res, err := cluster.RunContext(ctx, p.Config)
-	if err != nil {
-		return "", err
-	}
-	fields := make([]string, 0, len(dims)+7)
-	for _, d := range dims {
-		fields = append(fields, p.Values[d.Name])
-	}
-	fields = append(fields,
-		fmt.Sprintf("%.2f", float64(res.Bandwidth)/1e6),
-		fmt.Sprintf("%.5f", res.CacheMissRate),
-		fmt.Sprintf("%.5f", res.CPUUtilization),
-		strconv.FormatInt(int64(res.UnhaltedCycles), 10),
-		strconv.FormatUint(res.RemoteLines, 10),
-		fmt.Sprintf("%.4f", res.ClientNICBusy),
-		fmt.Sprintf("%.4f", res.DiskBusy),
-	)
-	return strings.Join(fields, ","), nil
 }

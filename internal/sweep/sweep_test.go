@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sais/cluster"
+	"sais/experiments"
 	"sais/internal/faults"
 	"sais/internal/irqsched"
 	"sais/internal/units"
@@ -46,7 +47,7 @@ func TestProductExpands(t *testing.T) {
 		{Name: "servers", Values: []string{"8", "16"}},
 		{Name: "policy", Values: []string{"irqbalance", "sais"}},
 	}
-	points, err := Product(base, dims)
+	points, err := Product(dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,21 +56,40 @@ func TestProductExpands(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, p := range points {
-		key := p.Values["servers"] + "/" + p.Values["policy"]
+		key := strings.Join(p.Values, "/")
 		seen[key] = true
-		if p.Values["servers"] == "16" && p.Config.Servers != 16 {
-			t.Errorf("servers not applied: %+v", p.Values)
+		cfg := base
+		p.Set(&cfg)
+		if p.Values[0] == "16" && cfg.Servers != 16 {
+			t.Errorf("servers not applied: %v", p.Values)
 		}
-		if p.Values["policy"] == "sais" && p.Config.Policy != irqsched.PolicySourceAware {
-			t.Errorf("policy not applied: %+v", p.Values)
+		if p.Values[1] == "sais" && cfg.Policy != irqsched.PolicySourceAware {
+			t.Errorf("policy not applied: %v", p.Values)
 		}
 	}
 	if len(seen) != 4 {
 		t.Errorf("combinations = %v", seen)
 	}
+	// The first dimension varies slowest.
+	if got := strings.Join(points[1].Values, "/"); got != "8/sais" {
+		t.Errorf("second point = %s, want 8/sais", got)
+	}
 	// Base must be untouched.
 	if base.Servers != cluster.DefaultConfig().Servers {
 		t.Error("Product mutated the base config")
+	}
+}
+
+// TestProductRejectsRepeatedDimension: a dimension named twice is an
+// error, not a silent overwrite of the first.
+func TestProductRejectsRepeatedDimension(t *testing.T) {
+	dims := []Dim{
+		{Name: "servers", Values: []string{"8"}},
+		{Name: "policy", Values: []string{"sais"}},
+		{Name: "servers", Values: []string{"16"}},
+	}
+	if _, err := Product(dims); err == nil || !strings.Contains(err.Error(), `"servers" given twice`) {
+		t.Errorf("err = %v, want a repeated-dimension error", err)
 	}
 }
 
@@ -89,22 +109,20 @@ func TestSettersApplyTypedValues(t *testing.T) {
 		{"seed", "9", func() bool { return cfg.Seed == 9 }},
 	}
 	for _, c := range cases {
-		if err := setters[c.dim](&cfg, c.val); err != nil {
+		apply, err := setters[c.dim](c.val)
+		if err != nil {
 			t.Fatalf("%s=%s: %v", c.dim, c.val, err)
 		}
+		apply(&cfg)
 		if !c.check() {
 			t.Errorf("%s=%s not applied", c.dim, c.val)
 		}
 	}
 	// Type errors surface.
-	if err := setters["servers"](&cfg, "eight"); err == nil {
-		t.Error("non-integer accepted")
-	}
-	if err := setters["policy"](&cfg, "bogus"); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if err := setters["shared"](&cfg, "maybe"); err == nil {
-		t.Error("bad bool accepted")
+	for _, bad := range [][2]string{{"servers", "eight"}, {"policy", "bogus"}, {"shared", "maybe"}, {"quantum", "soon"}} {
+		if _, err := setters[bad[0]](bad[1]); err == nil {
+			t.Errorf("%s=%s accepted", bad[0], bad[1])
+		}
 	}
 }
 
@@ -114,11 +132,14 @@ func TestSettersApplyTypedValues(t *testing.T) {
 func TestLossPointsOwnTheirPlans(t *testing.T) {
 	base := cluster.DefaultConfig()
 	base.Faults = &faults.Plan{Corrupt: 0.01}
-	points, err := Product(base, []Dim{{Name: "loss", Values: []string{"0.1", "0.2"}}})
+	points, err := Product([]Dim{{Name: "loss", Values: []string{"0.1", "0.2"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := points[0].Config.Faults, points[1].Config.Faults
+	ca, cb := base, base
+	points[0].Set(&ca)
+	points[1].Set(&cb)
+	a, b := ca.Faults, cb.Faults
 	if a == b || a == base.Faults || b == base.Faults {
 		t.Fatal("loss points share a fault plan")
 	}
@@ -130,102 +151,102 @@ func TestLossPointsOwnTheirPlans(t *testing.T) {
 	}
 	// A loss point on a healthy base gets a fresh plan too.
 	var cfg cluster.Config
-	if err := setters["loss"](&cfg, "0.05"); err != nil || cfg.Faults == nil || cfg.Faults.Loss != 0.05 {
-		t.Errorf("loss on a nil plan: %+v, %v", cfg.Faults, err)
-	}
-}
-
-func TestCSVEndToEnd(t *testing.T) {
-	base := cluster.DefaultConfig()
-	base.Servers = 8
-	base.BytesPerProc = 4 * units.MiB
-	dims := []Dim{{Name: "policy", Values: []string{"irqbalance", "sais"}}}
-	points, err := Product(base, dims)
+	apply, err := setters["loss"]("0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := CSVHeader(dims)
+	if apply(&cfg); cfg.Faults == nil || cfg.Faults.Loss != 0.05 {
+		t.Errorf("loss on a nil plan: %+v", cfg.Faults)
+	}
+}
+
+// smallSweep builds a fast sweep study for orchestration tests.
+func smallSweep(t *testing.T, dims ...Dim) experiments.Study {
+	t.Helper()
+	points, err := Product(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cluster.DefaultConfig()
+	base.BytesPerProc = 4 * units.MiB
+	var names []string
+	for _, d := range dims {
+		names = append(names, d.Name)
+	}
+	return experiments.Sweep(base, names, points)
+}
+
+func TestCSVEndToEnd(t *testing.T) {
+	s := smallSweep(t, Dim{Name: "policy", Values: []string{"irqbalance", "sais"}})
+	s.Config.Servers = 8
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(rep.CSV(), "\n"), "\n")
+	header := lines[0]
 	if !strings.HasPrefix(header, "policy,bandwidth_MBps") {
 		t.Errorf("header = %q", header)
 	}
+	if len(lines) != 3 {
+		t.Fatalf("csv = %d lines, want a header and 2 rows", len(lines))
+	}
 	wantCols := strings.Count(header, ",") + 1
-	for _, p := range points {
-		row, err := CSVRow(dims, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, row := range lines[1:] {
 		if got := strings.Count(row, ",") + 1; got != wantCols {
 			t.Errorf("row has %d columns, header %d: %q", got, wantCols, row)
 		}
-		if !strings.HasPrefix(row, p.Values["policy"]+",") {
+		if want := []string{"irqbalance", "sais"}[i] + ","; !strings.HasPrefix(row, want) {
 			t.Errorf("row = %q", row)
 		}
 	}
 }
 
 func TestProductNoDims(t *testing.T) {
-	points, err := Product(cluster.DefaultConfig(), nil)
+	points, err := Product(nil)
 	if err != nil || len(points) != 1 {
 		t.Errorf("empty product = %d points, %v", len(points), err)
 	}
 }
 
-// smallPoints builds a fast 2×2 product for orchestration tests.
-func smallPoints(t *testing.T) ([]Dim, []Point) {
-	t.Helper()
-	base := cluster.DefaultConfig()
-	base.BytesPerProc = 4 * units.MiB
-	dims := []Dim{
-		{Name: "servers", Values: []string{"4", "8"}},
-		{Name: "policy", Values: []string{"irqbalance", "sais"}},
-	}
-	points, err := Product(base, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dims, points
+// smallDims is a fast 2×2 product for orchestration tests.
+var smallDims = []Dim{
+	{Name: "servers", Values: []string{"4", "8"}},
+	{Name: "policy", Values: []string{"irqbalance", "sais"}},
 }
 
 func TestRowsParallelMatchesSerial(t *testing.T) {
-	dims, points := smallPoints(t)
-	serial, err := Rows(context.Background(), dims, points, 1)
+	s := smallSweep(t, smallDims...)
+	serial, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != len(points) {
-		t.Fatalf("rows = %d, want %d", len(serial), len(points))
+	if len(serial.Rows) != len(s.Points) {
+		t.Fatalf("rows = %d, want %d", len(serial.Rows), len(s.Points))
 	}
-	for i, row := range serial {
-		want, err := CSVRow(dims, points[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row != want {
-			t.Errorf("row %d = %q, want the serial CSVRow %q", i, row, want)
-		}
-	}
-	parallel, err := Rows(context.Background(), dims, points, 4)
+	s.Parallel = 4
+	parallel, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range serial {
-		if parallel[i] != serial[i] {
-			t.Errorf("parallel row %d differs:\n%q\nvs\n%q", i, parallel[i], serial[i])
-		}
+	if a, b := serial.CSV(), parallel.CSV(); a != b {
+		t.Errorf("parallel CSV differs:\n%s\nvs\n%s", b, a)
 	}
 }
 
 func TestRowsCancelled(t *testing.T) {
-	dims, points := smallPoints(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := Rows(ctx, dims, points, 2)
+	s := smallSweep(t, smallDims...)
+	s.Parallel = 2
+	rep, err := s.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	for i, r := range rows {
-		if r != "" {
-			t.Errorf("row %d = %q after pre-cancelled context", i, r)
-		}
+	if len(rep.Rows) != 0 {
+		t.Errorf("pre-cancelled sweep reported rows: %+v", rep.Rows)
+	}
+	if got := rep.CSV(); !strings.HasPrefix(got, "servers,policy,") || strings.Count(got, "\n") != 1 {
+		t.Errorf("pre-cancelled CSV = %q, want the header alone", got)
 	}
 }
