@@ -7,7 +7,8 @@
 // with -baseline it compares the run against a committed baseline and
 // prints a table of deltas. Comparison is warn-only by default; with
 // -strict a regression beyond a benchmark's tolerance band (or any
-// allocs/op growth) fails the build. Each baseline entry may carry its
+// allocs/op growth), a baseline row the run did not produce, or a
+// baseline that cannot be read fails the build. Each baseline entry may carry its
 // own "tolerance" — the relative ns/op slack before a run counts as a
 // regression — so noisy macro-benchmarks can run with a wider band
 // than steady hot-path microbenchmarks; entries without one use the
@@ -23,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -52,23 +54,33 @@ type Baseline struct {
 const defaultTolerance = 0.20
 
 func main() {
-	record := flag.String("record", "", "write the parsed results as a JSON baseline to this file")
-	baseline := flag.String("baseline", "", "compare the parsed results against this JSON baseline")
-	strict := flag.Bool("strict", false, "exit non-zero when a comparison exceeds its tolerance band")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, reads benchmark output from in,
+// and returns the exit code.
+func run(args []string, in io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	record := fs.String("record", "", "write the parsed results as a JSON baseline to this file")
+	baseline := fs.String("baseline", "", "compare the parsed results against this JSON baseline")
+	strict := fs.Bool("strict", false, "exit non-zero when a comparison exceeds its tolerance band, a baseline row is missing from the run, or the baseline cannot be read")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if (*record == "") == (*baseline == "") {
-		fmt.Fprintln(os.Stderr, "benchcheck: exactly one of -record or -baseline is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcheck: exactly one of -record or -baseline is required")
+		return 2
 	}
 
-	results, err := parse(os.Stdin)
+	results, err := parse(in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcheck:", err)
+		return 2
 	}
 	if len(results) == 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: no benchmark lines on stdin")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcheck: no benchmark lines on stdin")
+		return 2
 	}
 
 	if *record != "" {
@@ -86,23 +98,31 @@ func main() {
 			Benchmarks: results,
 		}
 		buf, err := json.MarshalIndent(b, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*record, append(buf, '\n'), 0o644)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchcheck:", err)
+			return 2
 		}
-		if err := os.WriteFile(*record, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("benchcheck: recorded %d benchmarks to %s\n", len(results), *record)
-		return
+		fmt.Fprintf(stdout, "benchcheck: recorded %d benchmarks to %s\n", len(results), *record)
+		return 0
 	}
 
-	warned := compare(*baseline, results)
-	if warned > 0 && *strict {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d regression(s) beyond tolerance; failing (-strict)\n", warned)
-		os.Exit(1)
+	base, err := load(*baseline)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchcheck: no baseline (%v); run `make bench-record` to create one\n", err)
+		if *strict {
+			return 1
+		}
+		return 0
 	}
+	warned := compare(stdout, base, results)
+	if warned > 0 && *strict {
+		fmt.Fprintf(stderr, "benchcheck: %d finding(s) beyond tolerance or missing; failing (-strict)\n", warned)
+		return 1
+	}
+	return 0
 }
 
 // load reads a baseline file.
@@ -116,26 +136,32 @@ func load(path string) (Baseline, error) {
 	return base, err
 }
 
-// compare prints per-benchmark deltas against the committed baseline
-// and returns the number of out-of-tolerance findings.
-func compare(path string, got map[string]Result) int {
-	base, err := load(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: no baseline (%v); run `make bench-record` to create one\n", err)
-		return 0
-	}
-	names := make([]string, 0, len(got))
+// compare prints per-benchmark deltas against the baseline and returns
+// the number of findings: a row beyond its tolerance band, allocation
+// growth, or a baseline row the run did not produce.
+func compare(w io.Writer, base Baseline, got map[string]Result) int {
+	names := make([]string, 0, len(got)+len(base.Benchmarks))
 	for name := range got {
 		names = append(names, name)
 	}
+	for name := range base.Benchmarks {
+		if _, ok := got[name]; !ok {
+			names = append(names, name)
+		}
+	}
 	sort.Strings(names)
 	warned := 0
-	fmt.Printf("%-52s %12s %12s %8s\n", "benchmark", "base ns/op", "now ns/op", "delta")
+	fmt.Fprintf(w, "%-52s %12s %12s %8s\n", "benchmark", "base ns/op", "now ns/op", "delta")
 	for _, name := range names {
-		cur := got[name]
+		cur, ran := got[name]
 		old, ok := base.Benchmarks[name]
 		if !ok {
-			fmt.Printf("%-52s %12s %12.1f %8s\n", name, "(new)", cur.NsPerOp, "")
+			fmt.Fprintf(w, "%-52s %12s %12.1f %8s\n", name, "(new)", cur.NsPerOp, "")
+			continue
+		}
+		if !ran {
+			fmt.Fprintf(w, "%-52s %12.1f %12s %8s  WARN: missing from this run\n", name, old.NsPerOp, "(missing)", "")
+			warned++
 			continue
 		}
 		tol := old.Tolerance
@@ -156,20 +182,20 @@ func compare(path string, got map[string]Result) int {
 			mark += fmt.Sprintf("  WARN: allocs/op %.0f -> %.0f", old.AllocsPerOp, cur.AllocsPerOp)
 			warned++
 		}
-		fmt.Printf("%-52s %12.1f %12.1f %+7.1f%%%s\n", name, old.NsPerOp, cur.NsPerOp, delta*100, mark)
+		fmt.Fprintf(w, "%-52s %12.1f %12.1f %+7.1f%%%s\n", name, old.NsPerOp, cur.NsPerOp, delta*100, mark)
 	}
 	if warned > 0 {
-		fmt.Printf("benchcheck: %d warning(s)\n", warned)
+		fmt.Fprintf(w, "benchcheck: %d warning(s)\n", warned)
 	}
 	return warned
 }
 
 // parse aggregates `go test -bench` output lines by benchmark name
 // (GOMAXPROCS suffix stripped), taking the median of each metric.
-func parse(f *os.File) (map[string]Result, error) {
+func parse(r io.Reader) (map[string]Result, error) {
 	type samples struct{ ns, bytes, allocs []float64 }
 	agg := map[string]*samples{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "Benchmark") {

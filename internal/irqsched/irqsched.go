@@ -292,6 +292,15 @@ func (h *Hybrid) Followed() uint64 { return h.followed }
 // Diverted returns interrupts diverted by the load threshold.
 func (h *Hybrid) Diverted() uint64 { return h.diverted }
 
+// Hinted returns interrupts delivered to their hinted core, as
+// SourceAware counts them.
+func (h *Hybrid) Hinted() uint64 { return h.followed }
+
+// Counters implements CounterReporter.
+func (h *Hybrid) Counters() map[string]uint64 {
+	return map[string]uint64{"hybrid_followed": h.followed, "hybrid_diverted": h.diverted}
+}
+
 // Route implements apic.Router.
 func (h *Hybrid) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
 	if hint != apic.NoHint {
@@ -319,6 +328,8 @@ type SocketAware struct {
 	socketSize int
 	fallback   apic.Router
 	rr         int
+	hinted     uint64
+	fellBack   uint64
 }
 
 // NewSocketAware builds the policy. socketSize is cores per socket.
@@ -334,6 +345,14 @@ func NewSocketAware(loads LoadReader, socketSize int, fallback apic.Router) *Soc
 
 // Name implements apic.Router.
 func (s *SocketAware) Name() string { return "sais-socket" }
+
+// Hinted returns interrupts delivered on their hinted core's socket.
+func (s *SocketAware) Hinted() uint64 { return s.hinted }
+
+// Counters implements CounterReporter.
+func (s *SocketAware) Counters() map[string]uint64 {
+	return map[string]uint64{"socket_hinted": s.hinted, "socket_fallback": s.fellBack}
+}
 
 // Route implements apic.Router.
 func (s *SocketAware) Route(vec apic.Vector, hint int, flow uint64, allowed []int, now units.Time) int {
@@ -359,9 +378,11 @@ func (s *SocketAware) Route(vec apic.Vector, hint int, flow uint64, allowed []in
 		}
 		if best >= 0 {
 			s.rr++
+			s.hinted++
 			return best
 		}
 	}
+	s.fellBack++
 	return s.fallback.Route(vec, hint, flow, allowed, now)
 }
 
