@@ -524,11 +524,15 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 	if workers < 1 {
 		workers = 1
 	}
+	// Each engine has its own fabric (with its frame pool) and its own
+	// message-body pool, shared by every node on that engine.
 	engines := make([]*sim.Engine, shards)
 	fabrics := make([]*netsim.Fabric, shards)
+	bodies := make([]*pfs.Bodies, shards)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
 		fabrics[i] = netsim.NewFabric(engines[i], cfg.FabricLatency)
+		bodies[i] = new(pfs.Bodies)
 	}
 	// The MDS (and a storm's ghost NIC) live on shard 0.
 	eng, fab := engines[0], fabrics[0]
@@ -549,7 +553,8 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 		scfg.Disk = cfg.Disk
 		scfg.EchoHints = true // harmless for baselines: their requests carry no hint
 		scfg.NIC.Fragment = cfg.FragmentWire
-		srvs[i] = pfs.NewServer(engines[serverShard(i)], fabrics[serverShard(i)], servers[i], scfg, root)
+		sh := serverShard(i)
+		srvs[i] = pfs.NewServer(engines[sh], fabrics[sh], bodies[sh], servers[i], scfg, root)
 	}
 
 	// Clients with their workloads. Background busywork (if configured)
@@ -595,7 +600,8 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 		}
 		ccfg.NIC.CoalesceDelay = cfg.CoalesceDelay
 		ccfg.NIC.Fragment = cfg.FragmentWire
-		node, err := client.New(engines[clientShard(i)], fabrics[clientShard(i)], ccfg)
+		sh := clientShard(i)
+		node, err := client.New(engines[sh], fabrics[sh], bodies[sh], ccfg)
 		if err != nil {
 			return nil, err
 		}
@@ -623,14 +629,15 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 			return nil, err
 		}
 		loads[i] = w
-		w.Start(engines[clientShard(i)])
+		w.Start(engines[sh])
 	}
 
 	// Cross-shard routing: a frame whose destination lives on another
 	// shard is posted to that shard's mailbox, carrying its delivery
 	// time and provenance key; the destination injects it with the
-	// exact compound key a shared engine would have used. Frames
-	// migrate between per-shard pools with their ownership.
+	// exact compound key a shared engine would have used. Frames and
+	// their message bodies migrate between per-shard pools with their
+	// ownership.
 	var se *shard.Engine
 	if shards > 1 {
 		se = shard.New(engines, cfg.FabricLatency, workers)

@@ -6,14 +6,18 @@
 // JSON baseline (per-benchmark median ns/op plus allocation counters);
 // with -baseline it compares the run against a committed baseline and
 // prints a table of deltas. Comparison is warn-only by default; with
-// -strict a regression beyond a benchmark's tolerance band (or any
-// allocs/op growth), a baseline row the run did not produce, or a
-// baseline that cannot be read fails the build. Each baseline entry may carry its
-// own "tolerance" — the relative ns/op slack before a run counts as a
+// -strict a finding fails the build: ns/op beyond a benchmark's
+// tolerance band, allocs/op outside the fixed 10% allocation band in
+// either direction, a baseline row the run did not produce, or a
+// baseline that cannot be read. Each baseline entry may carry its own
+// "tolerance" — the relative ns/op slack before a run counts as a
 // regression — so noisy macro-benchmarks can run with a wider band
 // than steady hot-path microbenchmarks; entries without one use the
-// 0.20 default. Re-recording preserves the tolerances already in the
-// baseline file.
+// 0.20 default. Allocation counts do not depend on the host, so their
+// band is fixed and tight, and a drop past it fails too: the baseline
+// is stale and must be re-recorded, or a later regression back to the
+// old count would pass. Re-recording preserves the tolerances already
+// in the baseline file.
 //
 //	go test -bench EngineHot -benchmem -count 5 ./internal/sim | benchcheck -record BENCH_sim.json
 //	go test -bench EngineHot -benchmem -count 5 ./internal/sim | benchcheck -baseline BENCH_sim.json -strict
@@ -52,6 +56,10 @@ type Baseline struct {
 // defaultTolerance is the relative ns/op regression that triggers a
 // warning when the baseline entry carries no tolerance of its own.
 const defaultTolerance = 0.20
+
+// allocBand is the relative allocs/op change, up or down, that
+// triggers a warning. A zero-alloc baseline is exact.
+const allocBand = 0.10
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
@@ -137,8 +145,9 @@ func load(path string) (Baseline, error) {
 }
 
 // compare prints per-benchmark deltas against the baseline and returns
-// the number of findings: a row beyond its tolerance band, allocation
-// growth, or a baseline row the run did not produce.
+// the number of findings: a row beyond its tolerance band, allocs/op
+// outside the allocation band in either direction, or a baseline row
+// the run did not produce.
 func compare(w io.Writer, base Baseline, got map[string]Result) int {
 	names := make([]string, 0, len(got)+len(base.Benchmarks))
 	for name := range got {
@@ -174,12 +183,15 @@ func compare(w io.Writer, base Baseline, got map[string]Result) int {
 			mark = fmt.Sprintf("  WARN: slower than baseline (tolerance %.0f%%)", tol*100)
 			warned++
 		}
-		// Alloc growth: zero-alloc baselines are exact invariants (the
+		// Allocations: zero-alloc baselines are exact invariants (the
 		// engine hot path must stay at 0 allocs/op); non-zero baselines
-		// get the same relative band as ns/op.
-		if (old.AllocsPerOp == 0 && cur.AllocsPerOp > 0) ||
-			(old.AllocsPerOp > 0 && cur.AllocsPerOp > old.AllocsPerOp*(1+tol)) {
-			mark += fmt.Sprintf("  WARN: allocs/op %.0f -> %.0f", old.AllocsPerOp, cur.AllocsPerOp)
+		// must stay within allocBand both ways.
+		switch {
+		case cur.AllocsPerOp > old.AllocsPerOp*(1+allocBand):
+			mark += fmt.Sprintf("  WARN: allocs/op %.0f -> %.0f, over the %.0f%% band", old.AllocsPerOp, cur.AllocsPerOp, allocBand*100)
+			warned++
+		case cur.AllocsPerOp < old.AllocsPerOp*(1-allocBand):
+			mark += fmt.Sprintf("  WARN: allocs/op %.0f -> %.0f, under the %.0f%% band: re-record the baseline (make bench-record)", old.AllocsPerOp, cur.AllocsPerOp, allocBand*100)
 			warned++
 		}
 		fmt.Fprintf(w, "%-52s %12.1f %12.1f %+7.1f%%%s\n", name, old.NsPerOp, cur.NsPerOp, delta*100, mark)

@@ -89,27 +89,35 @@ func TestCompareBands(t *testing.T) {
 	base := Baseline{Benchmarks: map[string]Result{
 		"Zero":  {NsPerOp: 100},
 		"Alloc": {NsPerOp: 100, AllocsPerOp: 100},
-		"Wide":  {NsPerOp: 100, AllocsPerOp: 100, Tolerance: 1},
+		"Wide":  {NsPerOp: 100, Tolerance: 1},
 	}}
 	for _, tc := range []struct {
 		name string
 		got  map[string]Result
 		want int
+		// mention, when set, must appear in the printed table.
+		mention string
 	}{
-		{"within the default band", map[string]Result{"Zero": {NsPerOp: 119}, "Alloc": {NsPerOp: 80, AllocsPerOp: 120}, "Wide": {NsPerOp: 100}}, 0},
-		{"slower than the default band", map[string]Result{"Zero": {NsPerOp: 121}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}}, 1},
-		{"a zero-alloc baseline allocates", map[string]Result{"Zero": {NsPerOp: 100, AllocsPerOp: 1}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}}, 1},
-		{"allocs beyond the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 121}, "Wide": {NsPerOp: 100}}, 1},
-		{"slower and allocating more", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 150, AllocsPerOp: 150}, "Wide": {NsPerOp: 100}}, 2},
-		{"a per-entry band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 199, AllocsPerOp: 199}}, 0},
-		{"beyond a per-entry band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 201, AllocsPerOp: 100}}, 1},
-		{"a new row", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}, "New": {NsPerOp: 1e9}}, 0},
-		{"missing rows", map[string]Result{"Zero": {NsPerOp: 100}}, 2},
+		{"within the default band", map[string]Result{"Zero": {NsPerOp: 119}, "Alloc": {NsPerOp: 80, AllocsPerOp: 109}, "Wide": {NsPerOp: 100}}, 0, ""},
+		{"slower than the default band", map[string]Result{"Zero": {NsPerOp: 121}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}}, 1, "slower"},
+		{"a zero-alloc baseline allocates", map[string]Result{"Zero": {NsPerOp: 100, AllocsPerOp: 1}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}}, 1, "allocs/op 0 -> 1"},
+		{"allocs beyond the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 121}, "Wide": {NsPerOp: 100}}, 1, "over the 10% band"},
+		{"allocs grew past the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 111}, "Wide": {NsPerOp: 100}}, 1, "over the 10% band"},
+		{"allocs dropped past the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 89}, "Wide": {NsPerOp: 100}}, 1, "re-record"},
+		{"allocs dropped within the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 91}, "Wide": {NsPerOp: 100}}, 0, ""},
+		{"slower and allocating more", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 150, AllocsPerOp: 150}, "Wide": {NsPerOp: 100}}, 2, ""},
+		{"a per-entry band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 199}}, 0, ""},
+		{"beyond a per-entry band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 201}}, 1, "tolerance 100%"},
+		{"a new row", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}, "New": {NsPerOp: 1e9}}, 0, "(new)"},
+		{"missing rows", map[string]Result{"Zero": {NsPerOp: 100}}, 2, "missing from this run"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder
 			if got := compare(&out, base, tc.got); got != tc.want {
 				t.Errorf("findings = %d, want %d:\n%s", got, tc.want, out.String())
+			}
+			if !strings.Contains(out.String(), tc.mention) {
+				t.Errorf("output lacks %q:\n%s", tc.mention, out.String())
 			}
 		})
 	}

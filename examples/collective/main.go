@@ -39,13 +39,14 @@ func build(policy irqsched.PolicyKind) (*sim.Engine, *client.Node) {
 	fab := netsim.NewFabric(eng, 20*units.Microsecond)
 	ccfg := client.DefaultConfig(1, 3*units.Gigabit, policy)
 	ccfg.MDS = 50
-	node := client.MustNew(eng, fab, ccfg)
+	bodies := new(pfs.Bodies)
+	node := client.MustNew(eng, fab, bodies, ccfg)
 	ids := make([]netsim.NodeID, servers)
 	rnd := rng.New(1)
 	for i := range ids {
 		ids[i] = netsim.NodeID(100 + i)
 		scfg := pfs.DefaultServerConfig(3 * units.Gigabit)
-		pfs.NewServer(eng, fab, ids[i], scfg, rnd)
+		pfs.NewServer(eng, fab, bodies, ids[i], scfg, rnd)
 	}
 	layout := pfs.Layout{StripSize: 64 * units.KiB, Servers: ids, Size: units.Bytes(procs) * perProc}
 	pfs.NewMetadataServer(eng, fab, 50, pfs.DefaultMetadataConfig(units.Gigabit),

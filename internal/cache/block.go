@@ -337,12 +337,15 @@ func (s *System) touch(core int, id BlockID) {
 }
 
 // makeRoom evicts LRU blocks from core until size fits; with an L3
-// configured, victims park in the core's socket L3.
+// configured, victims park in the core's socket L3. The survivors move
+// to the front of the list, so its buffer is reused rather than slid
+// along and reallocated.
 func (s *System) makeRoom(core int, size units.Bytes) {
 	cc := &s.cores[core]
-	for cc.used+size > cc.capacity && len(cc.order) > 0 {
-		victim := cc.order[0]
-		cc.order = cc.order[1:]
+	evicted := 0
+	for cc.used+size > cc.capacity && evicted < len(cc.order) {
+		victim := cc.order[evicted]
+		evicted++
 		cc.used -= s.sizes[victim]
 		delete(s.where, victim)
 		s.stats[core].EvictedBlocks++
@@ -351,6 +354,7 @@ func (s *System) makeRoom(core int, size units.Bytes) {
 			s.l3Insert(s.socketOf(core), victim)
 		}
 	}
+	cc.order = cc.order[:copy(cc.order, cc.order[evicted:])]
 }
 
 // l3Insert parks a victim block in socket's L3, displacing LRU blocks.
@@ -361,13 +365,14 @@ func (s *System) l3Insert(socket int, id BlockID) {
 		return
 	}
 	s.l3Drop(id)
-	for l.used+size > l.capacity && len(l.order) > 0 {
-		old := l.order[0]
-		l.order = l.order[1:]
+	evicted := 0
+	for l.used+size > l.capacity && evicted < len(l.order) {
+		old := l.order[evicted]
+		evicted++
 		l.used -= s.sizes[old]
 		delete(s.l3Where, old)
 	}
-	l.order = append(l.order, id)
+	l.order = append(l.order[:copy(l.order, l.order[evicted:])], id)
 	l.used += size
 	s.l3Where[id] = socket
 }

@@ -363,8 +363,9 @@ type read struct {
 	issuedAt units.Time
 	file     pfs.FileID
 	tag      uint64
-	// plans is freshly mapped per transfer, never a reused buffer: the
-	// read requests sent to the servers reference its pieces.
+	// plans reuses the record's buffer, like writeOp.plans: each read
+	// request copies its pieces, so nothing outside the record
+	// references it.
 	plans  []pfs.ServerPlan
 	hint   netsim.AffHint
 	layout pfs.Layout
@@ -509,6 +510,10 @@ type Node struct {
 	// records the same way: each is freed as its stage callback starts.
 	freeSyscalls []*syscall
 	freeRx       []*rxWork
+	// bodies is the engine's message-body pool: ReadRequest and
+	// StripWrite bodies come from it, and StripData and WriteAck bodies
+	// go back to it once their softirq processing has read them.
+	bodies *pfs.Bodies
 	// frameq holds frames routed to each core, consumed by the local
 	// APIC handler in FIFO order.
 	frameq []sim.Ring[*netsim.Frame]
@@ -563,9 +568,10 @@ func (l loadAdapter) NumCores() int             { return l.c.NumCores() }
 func (l loadAdapter) CoreBusy(i int) units.Time { return l.c.Core(i).Stats().Busy }
 func (l loadAdapter) CoreQueue(i int) int       { return l.c.Core(i).QueueLen() }
 
-// New builds a client node and attaches it to fab. It returns an error
-// on invalid configuration.
-func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
+// New builds a client node and attaches it to fab. bodies is the
+// message-body pool of the engine the node runs on; every node of that
+// engine shares it. It returns an error on invalid configuration.
+func New(eng *sim.Engine, fab *netsim.Fabric, bodies *pfs.Bodies, cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -592,6 +598,7 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 		reads:    make(map[uint64]*read),
 		writes:   make(map[uint64]*writeOp),
 		frameq:   make([]sim.Ring[*netsim.Frame], cfg.Cores),
+		bodies:   bodies,
 	}
 	fab.Attach(n.nic)
 	if cfg.L3PerSocket > 0 {
@@ -656,8 +663,8 @@ func New(eng *sim.Engine, fab *netsim.Fabric, cfg Config) (*Node, error) {
 }
 
 // MustNew is New for configurations known valid (tests, examples).
-func MustNew(eng *sim.Engine, fab *netsim.Fabric, cfg Config) *Node {
-	n, err := New(eng, fab, cfg)
+func MustNew(eng *sim.Engine, fab *netsim.Fabric, bodies *pfs.Bodies, cfg Config) *Node {
+	n, err := New(eng, fab, bodies, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -859,11 +866,13 @@ func (n *Node) issueWrite(p *Proc, file pfs.FileID, offset, length units.Bytes, 
 func (n *Node) sendWriteStrips(w *writeOp, plans []pfs.ServerPlan) {
 	for _, plan := range plans {
 		for _, piece := range plan.Pieces {
-			n.nic.Send(plan.Server, piece.Size, w.hint, &pfs.StripWrite{
+			sw := n.bodies.Writes.Get()
+			*sw = pfs.StripWrite{
 				File: w.file, Tag: w.tag, Client: n.cfg.Node,
 				GlobalStrip: piece.GlobalStrip, ServerOffset: piece.ServerOffset,
 				Size: piece.Size,
-			})
+			}
+			n.nic.Send(plan.Server, piece.Size, w.hint, sw)
 		}
 		if n.txObs != nil {
 			n.txObs.NoteTransmit(uint64(plan.Server), w.proc.core)
@@ -961,7 +970,8 @@ func ackedBytes(plans []pfs.ServerPlan, acked map[int]bool) units.Bytes {
 // issue sends the per-server read requests for a transfer.
 func (n *Node) issue(p *Proc, file pfs.FileID, offset, length units.Bytes, done sim.Event) {
 	layout := n.layouts[file]
-	plans, err := layout.Extents(offset, length)
+	rd := n.newRead()
+	plans, err := layout.AppendExtents(rd.plans[:0], offset, length)
 	if err != nil {
 		panic(fmt.Sprintf("client: extents: %v", err))
 	}
@@ -977,7 +987,6 @@ func (n *Node) issue(p *Proc, file pfs.FileID, offset, length units.Bytes, done 
 	}
 	n.nextTag++
 	tag := n.nextTag
-	rd := n.newRead()
 	rd.proc, rd.issuedAt, rd.file, rd.tag = p, n.eng.Now(), file, tag
 	rd.plans, rd.hint, rd.layout, rd.done = plans, hint, layout, done
 	for _, plan := range plans {
@@ -1022,10 +1031,16 @@ func (n *Node) sendReadRequests(rd *read, plans []pfs.ServerPlan) {
 		plans = ordered
 	}
 	for _, plan := range plans {
-		n.nic.Send(plan.Server, pfs.RequestSize, rd.hint, &pfs.ReadRequest{
-			File: rd.file, Tag: rd.tag, Client: n.cfg.Node, Pieces: plan.Pieces,
+		// The request keeps its own copy of the pieces: the plans belong
+		// to the read record, which may be recycled before a retried or
+		// duplicate request is served.
+		req := n.bodies.Requests.Get()
+		*req = pfs.ReadRequest{
+			File: rd.file, Tag: rd.tag, Client: n.cfg.Node,
+			Pieces:   append(req.Pieces[:0], plan.Pieces...),
 			LocalEOF: rd.layout.LocalBytes(plan.ServerIdx),
-		})
+		}
+		n.nic.Send(plan.Server, pfs.RequestSize, rd.hint, req)
 		if n.txObs != nil {
 			n.txObs.NoteTransmit(uint64(plan.Server), rd.proc.core)
 		}
@@ -1221,6 +1236,7 @@ func (n *Node) recordTransit(f *netsim.Frame, now units.Time, dest int) {
 		Client: cl, Server: srv, Tag: sd.Tag, Strip: sd.GlobalStrip, Core: -1})
 	n.spans.Emit(trace.Span{Phase: trace.PhaseRing, Start: f.DeliveredAt, End: now,
 		Client: cl, Server: srv, Tag: sd.Tag, Strip: sd.GlobalStrip, Core: -1})
+	//lint:alloc span recording, installed only on traced runs
 	n.spans.Begin(trace.PhaseSteer, now, cl, srv, sd.Tag, sd.GlobalStrip, dest)
 }
 
@@ -1258,6 +1274,7 @@ func (n *Node) handleIRQ(core int, now units.Time) {
 			// realized, interrupt handling starts.
 			cl := int(n.cfg.Node)
 			n.spans.End(trace.PhaseSteer, now, cl, body.Tag, body.GlobalStrip, core)
+			//lint:alloc span recording, installed only on traced runs
 			n.spans.Begin(trace.PhaseIRQ, now, cl, int(f.Src), body.Tag, body.GlobalStrip, core)
 		}
 		cost = units.Time(float64(f.Payload) * n.cfg.Costs.SoftirqPerByte)
@@ -1301,7 +1318,9 @@ func newRxWork(n *Node) *rxWork {
 }
 
 // process runs once the frame's protocol processing is done: recycle
-// the record, then hand the body to its consumer.
+// the record, then hand the body to its consumer. The node is the
+// final reader of strip data and acknowledgements, so those bodies go
+// back to the engine's pool once consumed.
 func (w *rxWork) process(now units.Time) {
 	n, core, src, seq, body := w.n, w.core, w.src, w.seq, w.body
 	w.body = nil
@@ -1309,8 +1328,10 @@ func (w *rxWork) process(now units.Time) {
 	switch body := body.(type) {
 	case *pfs.StripData:
 		n.stripArrived(core, src, seq, body, now)
+		n.bodies.Strips.Put(body)
 	case *pfs.WriteAck:
 		n.ackArrived(body, now)
+		n.bodies.Acks.Put(body)
 	case *pfs.LayoutReply:
 		n.layoutArrived(body)
 	}
@@ -1469,7 +1490,7 @@ func (n *Node) freeRead(rd *read) {
 	clear(rd.got)
 	clear(rd.lastSeq)
 	clear(rd.srvLeft)
-	*rd = read{got: rd.got, lastSeq: rd.lastSeq, srvLeft: rd.srvLeft, blocks: rd.blocks[:0],
+	*rd = read{plans: rd.plans[:0], got: rd.got, lastSeq: rd.lastSeq, srvLeft: rd.srvLeft, blocks: rd.blocks[:0],
 		woken: rd.woken, consumed: rd.consumed, timedOut: rd.timedOut}
 	n.freeReads = append(n.freeReads, rd)
 }

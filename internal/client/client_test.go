@@ -16,6 +16,7 @@ import (
 type rig struct {
 	eng     *sim.Engine
 	fab     *netsim.Fabric
+	bodies  *pfs.Bodies
 	node    *Node
 	servers []*pfs.Server
 	layout  pfs.Layout
@@ -23,12 +24,12 @@ type rig struct {
 
 func newRig(t *testing.T, policy irqsched.PolicyKind, ns int) *rig {
 	t.Helper()
-	r := &rig{eng: sim.NewEngine()}
+	r := &rig{eng: sim.NewEngine(), bodies: new(pfs.Bodies)}
 	r.fab = netsim.NewFabric(r.eng, 20*units.Microsecond)
 
 	cfg := DefaultConfig(1, 3*units.Gigabit, policy)
 	cfg.MDS = 50
-	r.node = MustNew(r.eng, r.fab, cfg)
+	r.node = MustNew(r.eng, r.fab, r.bodies, cfg)
 
 	servers := make([]netsim.NodeID, ns)
 	rnd := rng.New(7)
@@ -41,7 +42,7 @@ func newRig(t *testing.T, policy irqsched.PolicyKind, ns int) *rig {
 		// Fast media keeps the rig client-bound: these tests exercise
 		// the client's interrupt path, not the storage substrate.
 		scfg.Disk.MediaRate = units.Rate(400 * units.MBps)
-		r.servers = append(r.servers, pfs.NewServer(r.eng, r.fab, id, scfg, rnd))
+		r.servers = append(r.servers, pfs.NewServer(r.eng, r.fab, r.bodies, id, scfg, rnd))
 	}
 	r.layout = pfs.Layout{StripSize: 64 * units.KiB, Servers: servers}
 	pfs.NewMetadataServer(r.eng, r.fab, 50, pfs.DefaultMetadataConfig(units.Gigabit),
@@ -248,17 +249,17 @@ func TestConfigValidation(t *testing.T) {
 	fab := netsim.NewFabric(eng, 0)
 	bad := DefaultConfig(1, units.Gigabit, irqsched.PolicySourceAware)
 	bad.Cores = 0
-	if _, err := New(eng, fab, bad); err == nil {
+	if _, err := New(eng, fab, new(pfs.Bodies), bad); err == nil {
 		t.Error("zero cores accepted")
 	}
 	bad = DefaultConfig(2, units.Gigabit, irqsched.PolicySourceAware)
 	bad.Cores = 64
-	if _, err := New(eng, fab, bad); err == nil {
+	if _, err := New(eng, fab, new(pfs.Bodies), bad); err == nil {
 		t.Error("SAIs with 64 cores accepted (5-bit hint limit)")
 	}
 	bad = DefaultConfig(3, units.Gigabit, irqsched.PolicyRoundRobin)
 	bad.MigrateDuringBlock = 2
-	if _, err := New(eng, fab, bad); err == nil {
+	if _, err := New(eng, fab, new(pfs.Bodies), bad); err == nil {
 		t.Error("MigrateDuringBlock out of range accepted")
 	}
 }
@@ -387,7 +388,7 @@ func TestIRQAffinityMaskRestrictsDelivery(t *testing.T) {
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicyRoundRobin)
 	cfg.MDS = 50
 	cfg.AllowedIRQCores = []int{0, 1}
-	node := MustNew(r.eng, r.fab, cfg)
+	node := MustNew(r.eng, r.fab, r.bodies, cfg)
 	p := node.NewProc(0, 3)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
@@ -406,7 +407,7 @@ func TestIRQAffinityMaskDefeatsSAIsHints(t *testing.T) {
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicySourceAware)
 	cfg.MDS = 50
 	cfg.AllowedIRQCores = []int{0}
-	node := MustNew(r.eng, r.fab, cfg)
+	node := MustNew(r.eng, r.fab, r.bodies, cfg)
 	p := node.NewProc(0, 3) // hint points at core 3, outside the mask
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
@@ -426,7 +427,7 @@ func TestBadIRQMaskRejected(t *testing.T) {
 	fab := netsim.NewFabric(eng, 0)
 	cfg := DefaultConfig(1, units.Gigabit, irqsched.PolicyRoundRobin)
 	cfg.AllowedIRQCores = []int{99}
-	if _, err := New(eng, fab, cfg); err == nil {
+	if _, err := New(eng, fab, new(pfs.Bodies), cfg); err == nil {
 		t.Error("out-of-range IRQ mask accepted")
 	}
 }
@@ -629,7 +630,7 @@ func TestHardwareRSSPinsFlowsToCores(t *testing.T) {
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicyHardwareRSS)
 	cfg.MDS = 50
 	cfg.RSSQueues = 4
-	node := MustNew(r.eng, r.fab, cfg)
+	node := MustNew(r.eng, r.fab, r.bodies, cfg)
 	p := node.NewProc(0, 5)
 	r.eng.At(0, func(units.Time) { p.Read(1, 0, units.MiB, nil) })
 	r.eng.RunUntilIdle()
@@ -661,7 +662,7 @@ func TestHardwareRSSFlowStability(t *testing.T) {
 	cfg := DefaultConfig(2, 3*units.Gigabit, irqsched.PolicyHardwareRSS)
 	cfg.MDS = 50
 	cfg.RSSQueues = 2
-	node := MustNew(r.eng, r.fab, cfg)
+	node := MustNew(r.eng, r.fab, r.bodies, cfg)
 	p := node.NewProc(0, 7)
 	r.eng.At(0, func(units.Time) {
 		p.Read(1, 0, 512*units.KiB, func(units.Time) {
@@ -771,7 +772,8 @@ func TestRingDropRecovery(t *testing.T) {
 	cfg.NIC.CoalesceDelay = 500 * units.Microsecond
 	cfg.RetryTimeout = 50 * units.Millisecond
 	cfg.MaxRetries = 10
-	node := MustNew(eng, fab, cfg)
+	bodies := new(pfs.Bodies)
+	node := MustNew(eng, fab, bodies, cfg)
 
 	servers := make([]netsim.NodeID, 4)
 	rnd := rng.New(7)
@@ -781,7 +783,7 @@ func TestRingDropRecovery(t *testing.T) {
 		scfg := pfs.DefaultServerConfig(units.Gigabit)
 		scfg.Disk.RotationPeriod = 0
 		scfg.Disk.MediaRate = units.Rate(400 * units.MBps)
-		pfs.NewServer(eng, fab, id, scfg, rnd)
+		pfs.NewServer(eng, fab, bodies, id, scfg, rnd)
 	}
 	layout := pfs.Layout{StripSize: 64 * units.KiB, Servers: servers}
 	pfs.NewMetadataServer(eng, fab, 50, pfs.DefaultMetadataConfig(units.Gigabit),

@@ -19,7 +19,8 @@ func rig(t *testing.T, policy irqsched.PolicyKind, ns int) (*sim.Engine, *client
 	fab := netsim.NewFabric(eng, 10*units.Microsecond)
 	ccfg := client.DefaultConfig(1, 3*units.Gigabit, policy)
 	ccfg.MDS = 50
-	node := client.MustNew(eng, fab, ccfg)
+	bodies := new(pfs.Bodies)
+	node := client.MustNew(eng, fab, bodies, ccfg)
 	servers := make([]netsim.NodeID, ns)
 	rnd := rng.New(5)
 	for i := range servers {
@@ -28,7 +29,7 @@ func rig(t *testing.T, policy irqsched.PolicyKind, ns int) (*sim.Engine, *client
 		scfg.EchoHints = true
 		scfg.Disk.RotationPeriod = 0
 		scfg.Disk.MediaRate = units.Rate(400 * units.MBps)
-		pfs.NewServer(eng, fab, servers[i], scfg, rnd)
+		pfs.NewServer(eng, fab, bodies, servers[i], scfg, rnd)
 	}
 	layout := pfs.Layout{StripSize: 64 * units.KiB, Servers: servers}
 	pfs.NewMetadataServer(eng, fab, 50, pfs.DefaultMetadataConfig(units.Gigabit),

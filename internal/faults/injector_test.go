@@ -18,11 +18,12 @@ type rig struct {
 	client *netsim.NIC
 	srvs   []*pfs.Server
 	rx     []*netsim.Frame
+	bodies *pfs.Bodies
 }
 
 func newRig(t testing.TB, servers int) *rig {
 	t.Helper()
-	r := &rig{eng: sim.NewEngine()}
+	r := &rig{eng: sim.NewEngine(), bodies: new(pfs.Bodies)}
 	r.fab = netsim.NewFabric(r.eng, 10*units.Microsecond)
 	r.client = netsim.NewNIC(r.eng, 1, netsim.DefaultNICConfig(3*units.Gigabit))
 	r.fab.Attach(r.client)
@@ -32,7 +33,7 @@ func newRig(t testing.TB, servers int) *rig {
 	for i := 0; i < servers; i++ {
 		scfg := pfs.DefaultServerConfig(units.Gigabit)
 		scfg.Disk.RotationPeriod = 0 // deterministic service times
-		r.srvs = append(r.srvs, pfs.NewServer(r.eng, r.fab, netsim.NodeID(100+i), scfg, rng.New(1)))
+		r.srvs = append(r.srvs, pfs.NewServer(r.eng, r.fab, r.bodies, netsim.NodeID(100+i), scfg, rng.New(1)))
 	}
 	return r
 }
@@ -56,9 +57,9 @@ func (r *rig) request(at units.Time, srv, tag, n int) {
 		pieces[i] = pfs.Piece{GlobalStrip: i, ServerOffset: units.Bytes(i) * 64 * units.KiB, Size: 64 * units.KiB}
 	}
 	r.eng.At(at, func(units.Time) {
-		r.client.Send(netsim.NodeID(100+srv), pfs.RequestSize, netsim.AffHint{}, &pfs.ReadRequest{
-			File: 1, Tag: uint64(tag), Client: 1, Pieces: pieces,
-		})
+		req := r.bodies.Requests.Get()
+		*req = pfs.ReadRequest{File: 1, Tag: uint64(tag), Client: 1, Pieces: append(req.Pieces[:0], pieces...)}
+		r.client.Send(netsim.NodeID(100+srv), pfs.RequestSize, netsim.AffHint{}, req)
 	})
 }
 

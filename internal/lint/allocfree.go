@@ -19,8 +19,9 @@ import (
 // travels across packages as vetx facts).
 //
 // Flagged constructs: slice/map composite literals and &T{} (escaping
-// composites), new and make, closures capturing outer variables,
-// goroutine spawns, interface conversions of non-pointer values
+// composites), new and make, map-index writes (m[k] = v, m[k]++,
+// m[k] op= v: any of them may grow the map), closures capturing outer
+// variables, goroutine spawns, interface conversions of non-pointer values
 // (explicit, or implicit at call arguments), string concatenation and
 // string<->[]byte conversions, append without preallocated-capacity
 // evidence (the target must be a persistent struct-field buffer, a
@@ -262,6 +263,16 @@ func collectAllocSites(pass *analysis.Pass, fd *ast.FuncDecl, sites *[]allocSite
 				if n.Op == token.ADD && isStringType(pass.TypeOf(n.X)) {
 					add(n.Pos(), "string concatenation")
 				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if isMapIndex(pass, lhs) {
+						add(lhs.Pos(), "map-index write (may grow the map)")
+					}
+				}
+			case *ast.IncDecStmt:
+				if isMapIndex(pass, n.X) {
+					add(n.X.Pos(), "map-index write (may grow the map)")
+				}
 			case *ast.CallExpr:
 				classifyCall(pass, n, add, calls, dynamic)
 			}
@@ -490,6 +501,21 @@ func localDefinitions(pass *analysis.Pass, use *ast.Ident, obj *types.Var) (rhs 
 		return true
 	})
 	return rhs, found
+}
+
+// isMapIndex reports whether e indexes a map: as an assignment target,
+// the write that may insert a key and grow the map.
+func isMapIndex(pass *analysis.Pass, e ast.Expr) bool {
+	ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	t := pass.TypeOf(ix.X)
+	if t == nil {
+		return false
+	}
+	_, isMap := t.Underlying().(*types.Map)
+	return isMap
 }
 
 // capturedVars lists the outer local variables a func literal captures.

@@ -91,6 +91,24 @@ func dynamic(fn func() int) int {
 	return fn() // want `dynamic call .func value or interface method.`
 }
 
+type counters struct {
+	byKey map[int]int
+	seen  map[int][]int
+}
+
+//saisvet:allocfree
+func (c *counters) mapWrites(k int) int {
+	c.byKey[k] = 1   // want `map-index write .may grow the map. in //saisvet:allocfree mapWrites`
+	c.byKey[k]++     // want `map-index write .may grow the map. in //saisvet:allocfree mapWrites`
+	c.byKey[k] += 2  // want `map-index write .may grow the map. in //saisvet:allocfree mapWrites`
+	(c.byKey[k]) = 3 // want `map-index write .may grow the map. in //saisvet:allocfree mapWrites`
+	c.seen[k][0] = 1 // indexes the slice stored in the map: no insert
+	delete(c.byKey, k)
+	//lint:alloc the key set is fixed after warm-up
+	c.byKey[k] = 4
+	return c.byKey[k] // a read never grows the map
+}
+
 //saisvet:allocfree
 func waived(n int) []int {
 	//lint:alloc one-time setup buffer, amortized over the run

@@ -118,6 +118,7 @@ func (c *PageCache) Get(file FileID, win int64, ready sim.Event, fetch Fetcher) 
 	c.misses++
 	fl := c.newFill(key)
 	fl.waiters = append(fl.waiters, ready)
+	//lint:alloc the in-flight set grows to the peak number of windows being read at once
 	c.inflight[key] = fl
 	//lint:alloc the caller's disk-read hook: its allocations belong to the disk path's budget
 	fetch(file, win, fl.landed)

@@ -85,10 +85,16 @@ type Server struct {
 	// freeJobs recycles job records; fetch is s.readWindow, bound once.
 	freeJobs []*job
 	fetch    Fetcher
+	// bodies is the engine's message-body pool: StripData and WriteAck
+	// replies come from it, and ReadRequest and StripWrite bodies go
+	// back to it once served.
+	bodies *Bodies
 }
 
 // NewServer builds a server on node id and attaches its NIC to fab.
-func NewServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cfg ServerConfig, rnd *rng.Source) *Server {
+// bodies is the pool of the engine the server runs on; every node of
+// that engine shares it.
+func NewServer(eng *sim.Engine, fab *netsim.Fabric, bodies *Bodies, id netsim.NodeID, cfg ServerConfig, rnd *rng.Source) *Server {
 	window := cfg.ReadAhead
 	if window <= 0 {
 		window = 64 * units.KiB
@@ -102,6 +108,7 @@ func NewServer(eng *sim.Engine, fab *netsim.Fabric, id netsim.NodeID, cfg Server
 		dsk:      disk.New(eng, cfg.Disk, rnd.Split(fmt.Sprintf("disk%d", id))),
 		pages:    NewPageCache(eng, cfg.CacheBytes, window),
 		capsuler: irqsched.HintCapsuler{Enabled: cfg.EchoHints},
+		bodies:   bodies,
 	}
 	s.placement = s.defaultPlacement
 	s.fetch = s.readWindow
@@ -194,7 +201,9 @@ func (s *Server) onInterrupt(units.Time) {
 // copy into the buffer cache. Jobs are pooled per server and each stage
 // callback is bound when the record is created, so moving a job along
 // allocates nothing. A job is freed as its last stage starts, once its
-// fields have been read.
+// fields have been read. Every piece job of a request shares the
+// request body, which goes back to the pool after the last piece's
+// StripData is sent.
 type job struct {
 	s     *Server
 	req   *ReadRequest
@@ -251,9 +260,9 @@ func (j *job) writeCopied(units.Time) {
 	s.freeJob(j)
 	s.stats.StripsWritten++
 	s.stats.BytesWritten += w.Size
-	s.nic.Send(w.Client, WriteAckSize, echo, &WriteAck{
-		File: w.File, Tag: w.Tag, GlobalStrip: w.GlobalStrip, Size: w.Size,
-	})
+	ack := s.bodies.Acks.Get()
+	*ack = WriteAck{File: w.File, Tag: w.Tag, GlobalStrip: w.GlobalStrip, Size: w.Size}
+	s.nic.Send(w.Client, WriteAckSize, echo, ack)
 	// The written bytes are now cache-resident: a subsequent read of
 	// this range must not touch the disk.
 	first, last := s.pages.Windows(w.ServerOffset, w.Size)
@@ -269,6 +278,7 @@ func (j *job) writeCopied(units.Time) {
 	if size > 0 {
 		s.dsk.Write(lba, size, nil)
 	}
+	s.bodies.Writes.Put(w)
 }
 
 // handle services one read request: request CPU, then per-piece disk
@@ -297,10 +307,16 @@ func (s *Server) handle(req *ReadRequest, hint netsim.AffHint) {
 	s.chargeCPU(s.cfg.RequestCPU+extra, j.onRequest)
 }
 
-// requestCharged starts every piece of a parsed request.
+// requestCharged starts every piece of a parsed request. A request
+// with no pieces has nothing left to read and goes back to the pool.
 func (j *job) requestCharged(units.Time) {
 	s, req, echo := j.s, j.req, j.echo
 	s.freeJob(j)
+	req.left = len(req.Pieces)
+	if req.left == 0 {
+		s.bodies.Requests.Put(req)
+		return
+	}
 	for _, p := range req.Pieces {
 		pj := s.newJob()
 		pj.req, pj.echo, pj.piece = req, echo, p
@@ -341,7 +357,8 @@ func (j *job) windowResident(units.Time) {
 	}
 }
 
-// pieceCharged sends the piece's strip back to the client.
+// pieceCharged sends the piece's strip back to the client; the last
+// piece of the request returns the request body to the pool.
 func (j *job) pieceCharged(now units.Time) {
 	s, req, p, echo := j.s, j.req, j.piece, j.echo
 	s.freeJob(j)
@@ -350,12 +367,12 @@ func (j *job) pieceCharged(now units.Time) {
 	if s.spans != nil {
 		s.spans.End(trace.PhaseService, now, int(req.Client), req.Tag, p.GlobalStrip, -1)
 	}
-	s.nic.Send(req.Client, p.Size, echo, &StripData{
-		File:        req.File,
-		Tag:         req.Tag,
-		GlobalStrip: p.GlobalStrip,
-		Size:        p.Size,
-	})
+	sd := s.bodies.Strips.Get()
+	*sd = StripData{File: req.File, Tag: req.Tag, GlobalStrip: p.GlobalStrip, Size: p.Size}
+	s.nic.Send(req.Client, p.Size, echo, sd)
+	if req.left--; req.left == 0 {
+		s.bodies.Requests.Put(req)
+	}
 }
 
 // readWindow is the page cache's miss path: read window w of file from

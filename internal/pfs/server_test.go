@@ -17,12 +17,13 @@ type harness struct {
 	client *netsim.NIC
 	srv    *Server
 	mds    *MetadataServer
+	bodies *Bodies
 	rx     []*netsim.Frame
 }
 
 func newHarness(t *testing.T, echo bool) *harness {
 	t.Helper()
-	h := &harness{eng: sim.NewEngine()}
+	h := &harness{eng: sim.NewEngine(), bodies: new(Bodies)}
 	h.fab = netsim.NewFabric(h.eng, 10*units.Microsecond)
 	h.client = netsim.NewNIC(h.eng, 1, netsim.DefaultNICConfig(3*units.Gigabit))
 	h.fab.Attach(h.client)
@@ -32,7 +33,7 @@ func newHarness(t *testing.T, echo bool) *harness {
 	scfg := DefaultServerConfig(units.Gigabit)
 	scfg.EchoHints = echo
 	scfg.Disk.RotationPeriod = 0 // determinism for asserts
-	h.srv = NewServer(h.eng, h.fab, 100, scfg, rng.New(1))
+	h.srv = NewServer(h.eng, h.fab, h.bodies, 100, scfg, rng.New(1))
 	h.mds = NewMetadataServer(h.eng, h.fab, 50, DefaultMetadataConfig(units.Gigabit),
 		func(FileID) Layout {
 			return Layout{StripSize: 64 * units.KiB, Servers: []netsim.NodeID{100}}
@@ -41,14 +42,25 @@ func newHarness(t *testing.T, echo bool) *harness {
 }
 
 func (h *harness) sendRequest(hint netsim.AffHint, pieces []Piece) {
-	h.eng.At(0, func(units.Time) {
-		h.client.Send(100, RequestSize, hint, &ReadRequest{
-			File:   7,
-			Tag:    1,
-			Client: 1,
-			Pieces: pieces,
-		})
-	})
+	h.eng.At(0, func(units.Time) { h.read(1, hint, pieces) })
+}
+
+// read sends the server a pooled request for pieces of file 7, the way
+// a client node does.
+func (h *harness) read(tag uint64, hint netsim.AffHint, pieces []Piece) *ReadRequest {
+	req := h.bodies.Requests.Get()
+	*req = ReadRequest{File: 7, Tag: tag, Client: 1, Pieces: append(req.Pieces[:0], pieces...)}
+	h.client.Send(100, RequestSize, hint, req)
+	return req
+}
+
+// write sends the server one pooled 64 KiB strip write of file 7.
+func (h *harness) write(tag uint64, strip int) *StripWrite {
+	w := h.bodies.Writes.Get()
+	*w = StripWrite{File: 7, Tag: tag, Client: 1, GlobalStrip: strip,
+		ServerOffset: units.Bytes(strip) * 64 * units.KiB, Size: 64 * units.KiB}
+	h.client.Send(100, w.Size, netsim.AffHint{}, w)
+	return w
 }
 
 func strips(n int) []Piece {
@@ -212,11 +224,7 @@ func TestPageCacheServesRereads(t *testing.T) {
 	h.sendRequest(netsim.AffHint{}, strips(4))
 	h.eng.RunUntilIdle()
 	diskBefore := h.srv.Disk().Stats().Requests
-	h.eng.At(h.eng.Now(), func(units.Time) {
-		h.client.Send(100, RequestSize, netsim.AffHint{}, &ReadRequest{
-			File: 7, Tag: 2, Client: 1, Pieces: strips(4),
-		})
-	})
+	h.eng.At(h.eng.Now(), func(units.Time) { h.read(2, netsim.AffHint{}, strips(4)) })
 	h.eng.RunUntilIdle()
 	if got := h.srv.Disk().Stats().Requests; got != diskBefore {
 		t.Errorf("re-read touched the disk: %d -> %d requests", diskBefore, got)
@@ -232,10 +240,7 @@ func TestWritePopulatesPageCache(t *testing.T) {
 	h := newHarness(t, true)
 	h.eng.At(0, func(units.Time) {
 		for i := 0; i < 4; i++ {
-			h.client.Send(100, 64*units.KiB, netsim.AffHint{}, &StripWrite{
-				File: 7, Tag: 1, Client: 1, GlobalStrip: i,
-				ServerOffset: units.Bytes(i) * 64 * units.KiB, Size: 64 * units.KiB,
-			})
+			h.write(1, i)
 		}
 	})
 	h.eng.RunUntilIdle()
@@ -244,11 +249,7 @@ func TestWritePopulatesPageCache(t *testing.T) {
 		t.Fatalf("writes caused %d demand reads", reads)
 	}
 	h.rx = nil
-	h.eng.At(h.eng.Now(), func(units.Time) {
-		h.client.Send(100, RequestSize, netsim.AffHint{}, &ReadRequest{
-			File: 7, Tag: 2, Client: 1, Pieces: strips(4),
-		})
-	})
+	h.eng.At(h.eng.Now(), func(units.Time) { h.read(2, netsim.AffHint{}, strips(4)) })
 	h.eng.RunUntilIdle()
 	if len(h.rx) != 4 {
 		t.Fatalf("read back %d strips", len(h.rx))
@@ -275,11 +276,7 @@ func TestServerDownDropsTraffic(t *testing.T) {
 	if h.srv.Down() {
 		t.Error("Down() after revive")
 	}
-	h.eng.At(h.eng.Now(), func(units.Time) {
-		h.client.Send(100, RequestSize, netsim.AffHint{}, &ReadRequest{
-			File: 7, Tag: 2, Client: 1, Pieces: strips(2),
-		})
-	})
+	h.eng.At(h.eng.Now(), func(units.Time) { h.read(2, netsim.AffHint{}, strips(2)) })
 	h.eng.RunUntilIdle()
 	if len(h.rx) != 2 {
 		t.Errorf("revived server returned %d strips, want 2", len(h.rx))
@@ -304,5 +301,98 @@ func TestServerAccessors(t *testing.T) {
 	h.eng.RunUntilIdle()
 	if h.srv.CPUBusy() <= 0 {
 		t.Error("server CPU never busy")
+	}
+}
+
+// pooled counts how many times b sits in the free list l.
+func pooled[T any](l *FreeList[T], b *T) int {
+	n := 0
+	for _, x := range l.free {
+		if x == b {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRequestReturnsAfterLastPiece: the pieces of a request share its
+// body, so it goes back to the engine's pool only once the StripData
+// of its last piece has been sent, and exactly once.
+func TestRequestReturnsAfterLastPiece(t *testing.T) {
+	h := newHarness(t, true)
+	var req *ReadRequest
+	h.eng.At(0, func(units.Time) { req = h.read(1, netsim.AffHint{}, strips(3)) })
+	for h.eng.Step() {
+		sent := h.srv.Stats().StripsSent
+		want := 0
+		if sent == 3 {
+			want = 1
+		}
+		if got := pooled(&h.bodies.Requests, req); got != want {
+			t.Fatalf("at %v with %d of 3 strips sent, the request is in the pool %d times, want %d",
+				h.eng.Now(), sent, got, want)
+		}
+	}
+	if len(h.rx) != 3 {
+		t.Fatalf("client got %d strips, want 3", len(h.rx))
+	}
+	// The next request reuses the body and owns a copy of its pieces.
+	h.eng.At(h.eng.Now(), func(units.Time) {
+		if again := h.read(2, netsim.AffHint{}, strips(1)); again != req || len(again.Pieces) != 1 {
+			t.Errorf("the pooled body was not reused: %p vs %p, %d pieces", again, req, len(again.Pieces))
+		}
+	})
+	h.eng.RunUntilIdle()
+	if len(h.rx) != 4 || pooled(&h.bodies.Requests, req) != 1 {
+		t.Errorf("after the second request: %d strips, request pooled %d times", len(h.rx), pooled(&h.bodies.Requests, req))
+	}
+}
+
+// TestEmptyRequestReturnsAtOnce: a request with no pieces goes back to
+// the pool as soon as its parsing cost is charged, sending nothing.
+func TestEmptyRequestReturnsAtOnce(t *testing.T) {
+	h := newHarness(t, true)
+	var req *ReadRequest
+	h.eng.At(0, func(units.Time) { req = h.read(1, netsim.AffHint{}, nil) })
+	h.eng.RunUntilIdle()
+	if h.srv.Stats().Requests != 1 || len(h.rx) != 0 {
+		t.Fatalf("requests = %d, frames back = %d; want 1 and 0", h.srv.Stats().Requests, len(h.rx))
+	}
+	if got := pooled(&h.bodies.Requests, req); got != 1 {
+		t.Errorf("empty request pooled %d times, want 1", got)
+	}
+}
+
+// TestWriteReturnsOnceCopied: the server returns each strip write to
+// the pool once it has copied it and sent the acknowledgement, whose
+// body comes from the same pool.
+func TestWriteReturnsOnceCopied(t *testing.T) {
+	h := newHarness(t, true)
+	var w *StripWrite
+	h.eng.At(0, func(units.Time) { w = h.write(1, 0) })
+	h.eng.RunUntilIdle()
+	if len(h.rx) != 1 {
+		t.Fatalf("client got %d frames, want one acknowledgement", len(h.rx))
+	}
+	if ack, ok := h.rx[0].Body.(*WriteAck); !ok || ack.GlobalStrip != 0 || ack.Size != 64*units.KiB {
+		t.Errorf("reply body = %+v, want the strip's acknowledgement", h.rx[0].Body)
+	}
+	if got := pooled(&h.bodies.Writes, w); got != 1 {
+		t.Errorf("strip write pooled %d times, want 1", got)
+	}
+}
+
+// TestFreeListCapped: a free list keeps at most maxFree bodies, so a
+// pool that only ever receives one type cannot grow without bound.
+func TestFreeListCapped(t *testing.T) {
+	var l FreeList[WriteAck]
+	for i := 0; i <= maxFree; i++ {
+		l.Put(new(WriteAck))
+	}
+	if len(l.free) != maxFree {
+		t.Errorf("free list holds %d bodies, want the cap %d", len(l.free), maxFree)
+	}
+	if l.Get() == nil || len(l.free) != maxFree-1 {
+		t.Errorf("Get did not pop a pooled body: %d left", len(l.free))
 	}
 }

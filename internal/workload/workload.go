@@ -106,61 +106,77 @@ func (w *IOR) Start(eng *sim.Engine) {
 	w.remaining = w.cfg.Procs
 	cores := w.node.Config().Cores
 	for i := 0; i < w.cfg.Procs; i++ {
-		i := i
 		core := (w.cfg.FirstCore + i) % cores
 		p := w.node.NewProc(i, core)
-		file := w.cfg.FirstFile + pfs.FileID(i)
+		r := &procLoop{w: w, eng: eng, i: i, file: w.cfg.FirstFile + pfs.FileID(i), op: p.Read}
 		if w.cfg.Segmented {
-			file = w.cfg.FirstFile
+			r.file = w.cfg.FirstFile
 		}
-		transfers := w.cfg.Transfers()
-		op := p.Read
 		if w.cfg.Write {
-			op = p.Write
+			r.op = p.Write
 		}
 		// order[k] is the transfer index of the k-th request: identity
 		// for sequential IOR, a seeded permutation for random mode.
-		order := make([]int, transfers)
-		for k := range order {
-			order[k] = k
+		r.order = make([]int, w.cfg.Transfers())
+		for k := range r.order {
+			r.order[k] = k
 		}
 		if w.cfg.RandomAccess {
-			r := rng.New(rng.Derive(w.cfg.Seed, uint64(i)))
-			r.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			rnd := rng.New(rng.Derive(w.cfg.Seed, uint64(i)))
+			rnd.Shuffle(len(r.order), func(a, b int) { r.order[a], r.order[b] = r.order[b], r.order[a] })
 		}
-		offset := func(k int) units.Bytes {
-			if w.cfg.Segmented {
-				return units.Bytes(order[k]*w.cfg.Procs+i) * w.cfg.TransferSize
+		r.issued, r.transferred = r.issue, r.done
+		eng.After(units.Time(i)*w.cfg.Stagger, r.issued)
+	}
+}
+
+// procLoop is one process's transfer loop. Its continuations are
+// bound once, when the loop is built, and read the transfer index k
+// when they fire, so moving from one transfer to the next allocates
+// nothing.
+type procLoop struct {
+	w     *IOR
+	eng   *sim.Engine
+	i     int
+	file  pfs.FileID
+	op    func(pfs.FileID, units.Bytes, units.Bytes, sim.Event)
+	order []int
+	// k is the index of the next transfer to issue.
+	k int
+	// issued is r.issue and transferred is r.done.
+	issued, transferred sim.Event
+}
+
+// issue starts transfer k.
+func (r *procLoop) issue(units.Time) {
+	k := r.k
+	r.k++
+	off := units.Bytes(r.order[k]) * r.w.cfg.TransferSize
+	if r.w.cfg.Segmented {
+		off = units.Bytes(r.order[k]*r.w.cfg.Procs+r.i) * r.w.cfg.TransferSize
+	}
+	r.op(r.file, off, r.w.cfg.TransferSize, r.transferred)
+}
+
+// done runs when a transfer completes: the process issues the next one
+// after its think time, or finishes.
+func (r *procLoop) done(now units.Time) {
+	w := r.w
+	if r.k >= len(r.order) {
+		w.perProc[r.i] = now
+		w.remaining--
+		if w.remaining == 0 {
+			w.finished = now
+			if w.onDone != nil {
+				w.onDone(now)
 			}
-			return units.Bytes(order[k]) * w.cfg.TransferSize
 		}
-		var step func(k int) sim.Event
-		step = func(k int) sim.Event {
-			return func(now units.Time) {
-				if k >= transfers {
-					w.perProc[i] = now
-					w.remaining--
-					if w.remaining == 0 {
-						w.finished = now
-						if w.onDone != nil {
-							w.onDone(now)
-						}
-					}
-					return
-				}
-				next := func(units.Time) {
-					op(file, offset(k), w.cfg.TransferSize, step(k+1))
-				}
-				if w.cfg.ThinkTime > 0 {
-					eng.After(w.cfg.ThinkTime, next)
-				} else {
-					next(now)
-				}
-			}
-		}
-		eng.After(units.Time(i)*w.cfg.Stagger, func(units.Time) {
-			op(file, offset(0), w.cfg.TransferSize, step(1))
-		})
+		return
+	}
+	if w.cfg.ThinkTime > 0 {
+		r.eng.After(w.cfg.ThinkTime, r.issued)
+	} else {
+		r.issue(now)
 	}
 }
 

@@ -19,7 +19,8 @@ func rig(t *testing.T) (*sim.Engine, *client.Node) {
 	fab := netsim.NewFabric(eng, 10*units.Microsecond)
 	ccfg := client.DefaultConfig(1, 3*units.Gigabit, irqsched.PolicySourceAware)
 	ccfg.MDS = 50
-	node := client.MustNew(eng, fab, ccfg)
+	bodies := new(pfs.Bodies)
+	node := client.MustNew(eng, fab, bodies, ccfg)
 	servers := make([]netsim.NodeID, 4)
 	rnd := rng.New(3)
 	for i := range servers {
@@ -27,7 +28,7 @@ func rig(t *testing.T) (*sim.Engine, *client.Node) {
 		scfg := pfs.DefaultServerConfig(units.Gigabit)
 		scfg.EchoHints = true
 		scfg.Disk.RotationPeriod = 0
-		pfs.NewServer(eng, fab, servers[i], scfg, rnd)
+		pfs.NewServer(eng, fab, bodies, servers[i], scfg, rnd)
 	}
 	layout := pfs.Layout{StripSize: 64 * units.KiB, Servers: servers}
 	pfs.NewMetadataServer(eng, fab, 50, pfs.DefaultMetadataConfig(units.Gigabit),
