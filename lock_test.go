@@ -16,6 +16,8 @@ import (
 
 	"sais/cluster"
 	"sais/experiments"
+	"sais/internal/flowsim"
+	"sais/internal/irqsched"
 	"sais/internal/scenario"
 	"sais/internal/sweep"
 	"sais/internal/units"
@@ -28,7 +30,9 @@ import (
 // loss-rate sweep, crash-and-recover, graceful degradation and noisy
 // neighbor) at their default settings, of the CSV, table and chart of
 // every figure at its defaults plus the HTML report over all of them,
-// and of one multi-dimension sweep CSV. A change meant only to
+// of one multi-dimension sweep CSV, and of two runs with periodic
+// client background load (busywork alone, and busywork beside a hybrid
+// background population) on one engine and on four shards. A change meant only to
 // restructure or speed up the simulator must leave every digest
 // unchanged; a change that is meant to alter model output
 // re-records the file (go test -run TestBehaviourLock -update-lock .)
@@ -122,7 +126,54 @@ func lockDigests(t *testing.T) map[string]string {
 
 	figureDigests(t, got)
 	got["sweep/policy-servers-transfer-loss"] = sha([]byte(lockedSweepCSV(t)))
+	backgroundDigests(t, got)
 	return got
+}
+
+// backgroundDigests adds the Result digests of the two periodic client
+// loads, on one engine and on four shards: classic BackgroundLoad
+// busywork alone, and busywork beside a hybrid background population
+// whose colocated tenants tick every client station on the same 1 ms
+// boundaries.
+func backgroundDigests(t *testing.T, got map[string]string) {
+	t.Helper()
+	classic := cluster.DefaultConfig()
+	classic.Clients = 4
+	classic.Servers = 8
+	classic.CoresPerClient = 4
+	classic.BytesPerProc = 4 * units.MiB
+	classic.BackgroundLoad = 0.1
+
+	both := classic
+	both.TransferSize = 256 * units.KiB
+	both.BytesPerProc = units.MiB
+	both.BackgroundUsers = 20000
+	both.TenantMix = []flowsim.TenantShare{
+		{Name: "stream", Share: 0.7, PerUserRate: 3000, Colocate: 0.15},
+		{Name: "burst", Share: 0.3, PerUserRate: 2500, Shape: "burst",
+			Period: 10 * units.Millisecond, Duty: 0.3, HotServers: 4},
+	}
+
+	for _, c := range []struct {
+		name string
+		cfg  cluster.Config
+	}{{"background-load", classic}, {"background-load-users", both}} {
+		for _, shards := range []int{0, 4} {
+			engine := "one"
+			if shards > 0 {
+				engine = "shards4"
+			}
+			for _, p := range []irqsched.PolicyKind{irqsched.PolicyIrqbalance, irqsched.PolicySourceAware} {
+				cfg := c.cfg.WithPolicy(p)
+				cfg.Shards = shards
+				res, err := cluster.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[c.name+"/"+engine+"/"+cfg.Policy.String()] = resultDigest(t, res)
+			}
+		}
+	}
 }
 
 // figureDigests adds the CSV, table and chart digests of every figure
