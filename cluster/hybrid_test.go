@@ -336,3 +336,61 @@ func TestHybridCalibration(t *testing.T) {
 			units.Time(hybP50), units.Time(aloneP50))
 	}
 }
+
+// TestBackgroundTickCostsOneEventPerEngine: the client stations'
+// rate-update tick costs one event per engine per step, however many
+// clients the engine hosts. The colocated tenant's burst window opens
+// only long after the run ends, so it offers no load: the run carrying
+// it differs from the run without it by the tick events alone.
+func TestBackgroundTickCostsOneEventPerEngine(t *testing.T) {
+	const step = 100 * units.Microsecond
+	for _, clients := range []int{4, 16} {
+		base := cluster.DefaultConfig()
+		base.Clients = clients
+		base.Servers = 4
+		base.CoresPerClient = 2
+		base.ProcsPerClient = 1
+		base.TransferSize = 256 * units.KiB
+		base.BytesPerProc = units.MiB
+		base.ThinkTime = 2 * units.Millisecond
+		base.RateUpdate = step
+		dormant := base
+		dormant.BackgroundUsers = 1000
+		dormant.TenantMix = []flowsim.TenantShare{{Name: "dormant", Share: 1, PerUserRate: 1000,
+			Shape: "burst", Period: 10 * units.Second, Duty: 0.1, Phase: 0.5, Colocate: 1}}
+
+		quiet, quietFired := runCountingEvents(t, base)
+		loaded, loadedFired := runCountingEvents(t, dormant)
+		// The foreground is untouched; only the makespan may stretch to
+		// the tick that finds every workload done.
+		if loaded.StripLatencyMean != quiet.StripLatencyMean || loaded.StripCount != quiet.StripCount ||
+			loaded.Duration < quiet.Duration || loaded.Duration > quiet.Duration+step ||
+			loaded.BackgroundOfferedBytes != 0 {
+			t.Fatalf("%d clients: the dormant tenant changed the run: %v strips of mean %v in %v, "+
+				"vs %v of %v in %v; offered %v", clients, loaded.StripCount, loaded.StripLatencyMean,
+				loaded.Duration, quiet.StripCount, quiet.StripLatencyMean, quiet.Duration,
+				loaded.BackgroundOfferedBytes)
+		}
+		// Progress sees the count at the engine's stop poll, every 64
+		// events, so each run's last report may fall up to 63 short.
+		ticks := int64(loadedFired) - int64(quietFired)
+		steps := int64(loaded.Duration / step)
+		if ticks < steps-2*63 || ticks > steps+2*63 {
+			t.Errorf("%d clients: %d tick events over %d steps, want one per step (±%d)",
+				clients, ticks, steps, 2*63)
+		}
+	}
+}
+
+// runCountingEvents runs cfg and returns its Result with the last event
+// count its Progress hook reported.
+func runCountingEvents(t *testing.T, cfg cluster.Config) (*cluster.Result, uint64) {
+	t.Helper()
+	var fired uint64
+	cfg.Progress = func(f uint64, _ int, _ units.Time) { fired = f }
+	res, err := cluster.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, fired
+}
