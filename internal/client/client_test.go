@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"testing"
 
 	"sais/internal/irqsched"
@@ -539,7 +540,7 @@ func TestMissingPlans(t *testing.T) {
 		}},
 	}
 	got := map[int]bool{0: true, 1: true}
-	missing := missingPlans(plans, got)
+	missing, _ := missingPlans(nil, nil, plans, got)
 	if len(missing) != 1 || missing[0].ServerIdx != 0 {
 		t.Fatalf("missing = %+v", missing)
 	}
@@ -548,8 +549,99 @@ func TestMissingPlans(t *testing.T) {
 	}
 	// Nothing missing -> no plans.
 	got[2] = true
-	if m := missingPlans(plans, got); len(m) != 0 {
+	if m, _ := missingPlans(nil, nil, plans, got); len(m) != 0 {
 		t.Errorf("complete transfer still has %d plans", len(m))
+	}
+}
+
+// TestMissingPlansReusesBuffers replays a transfer's successive retries
+// on one pair of buffers, as a transfer record does: every retry must
+// re-issue exactly the pieces still missing, and once the buffers have
+// grown no retry allocates.
+func TestMissingPlansReusesBuffers(t *testing.T) {
+	layout := pfs.Layout{StripSize: 64 * units.KiB, Servers: []netsim.NodeID{100, 101, 102, 103}}
+	plans, err := layout.Extents(0, units.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []pfs.ServerPlan
+	var pieces []pfs.Piece
+	got := map[int]bool{}
+	// Strips arrive out of order between retries; the last retry sees
+	// the transfer complete.
+	for _, arrived := range [][]int{{}, {0, 5, 6}, {1, 2, 3, 4, 9}, {7, 8, 10, 11, 12, 13, 14}, {15}} {
+		for _, s := range arrived {
+			got[s] = true
+		}
+		out, pieces = missingPlans(out[:0], pieces, plans, got)
+		var want []pfs.ServerPlan
+		for _, plan := range plans {
+			cp := plan
+			cp.Pieces = nil
+			for _, piece := range plan.Pieces {
+				if !got[piece.GlobalStrip] {
+					cp.Pieces = append(cp.Pieces, piece)
+				}
+			}
+			if len(cp.Pieces) > 0 {
+				want = append(want, cp)
+			}
+		}
+		if len(out) != len(want) {
+			t.Fatalf("after %v: %d plans re-issued, want %d", arrived, len(out), len(want))
+		}
+		for i := range want {
+			if out[i].ServerIdx != want[i].ServerIdx || out[i].Server != want[i].Server ||
+				!slices.Equal(out[i].Pieces, want[i].Pieces) {
+				t.Errorf("after %v: plan %d = %+v, want %+v", arrived, i, out[i], want[i])
+			}
+		}
+	}
+	clear(got)
+	allocs := testing.AllocsPerRun(50, func() {
+		out, pieces = missingPlans(out[:0], pieces, plans, got)
+	})
+	if allocs != 0 {
+		t.Errorf("a retry allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestRetryReissuesOnlyLostStrips: a read that loses one strip from each
+// of two servers recovers with one retry re-requesting exactly those
+// two strips.
+func TestRetryReissuesOnlyLostStrips(t *testing.T) {
+	r := newRig(t, irqsched.PolicySourceAware, 4)
+	cfg := r.node.cfg
+	cfg.RetryTimeout = 50 * units.Millisecond
+	cfg.MaxRetries = 5
+	r.node.cfg = cfg
+	p := r.node.NewProc(0, 1)
+	var doneAt units.Time
+	r.eng.At(0, func(units.Time) {
+		p.Read(1, 0, 64*units.KiB, func(units.Time) {
+			// The layout is warm: drop the first strip frame each of
+			// servers 100 and 102 sends for the next read.
+			lost := map[netsim.NodeID]bool{}
+			r.fab.SetLoss(func(k netsim.FrameKey) bool {
+				if (k.Src == 100 || k.Src == 102) && !lost[k.Src] {
+					lost[k.Src] = true
+					return true
+				}
+				return false
+			})
+			p.Read(1, 0, units.MiB, func(now units.Time) { doneAt = now })
+		})
+	})
+	r.eng.RunUntilIdle()
+	if doneAt == 0 {
+		t.Fatal("read never completed despite retries")
+	}
+	st := r.node.Stats()
+	if st.Retries != 1 || st.StripsRetried != 2 {
+		t.Errorf("retries = %d re-requesting %d strips, want 1 re-requesting 2", st.Retries, st.StripsRetried)
+	}
+	if want := units.MiB + 64*units.KiB; st.BytesRead != want {
+		t.Errorf("bytes = %v, want %v", st.BytesRead, want)
 	}
 }
 

@@ -54,15 +54,35 @@ func (l Layout) LocalBytes(serverIdx int) units.Bytes {
 // once, where they are built or installed; Extents and AppendExtents
 // repeat only the checks that keep them from faulting.
 func (l Layout) Validate() error {
+	_, err := l.ValidateWith(nil)
+	return err
+}
+
+// ValidateWith is Validate checking for duplicates on scratch: it sorts
+// a copy of the server list there and returns the (possibly grown)
+// buffer, so a caller that keeps it validates every later layout of no
+// more servers without allocating.
+func (l Layout) ValidateWith(scratch []netsim.NodeID) ([]netsim.NodeID, error) {
 	if err := l.check(); err != nil {
-		return err
+		return scratch, err
 	}
-	seen := map[netsim.NodeID]bool{}
-	for _, s := range l.Servers {
-		if seen[s] {
+	sorted := append(scratch[:0], l.Servers...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return sorted, l.duplicate()
+		}
+	}
+	return sorted, nil
+}
+
+// duplicate reports the first server, in list order, that an earlier
+// entry already names.
+func (l Layout) duplicate() error {
+	for i, s := range l.Servers {
+		if slices.Contains(l.Servers[:i], s) {
 			return fmt.Errorf("pfs: duplicate server %d in layout", s)
 		}
-		seen[s] = true
 	}
 	return nil
 }

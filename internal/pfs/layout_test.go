@@ -34,6 +34,40 @@ func TestLayoutValidate(t *testing.T) {
 	}
 }
 
+// TestLayoutValidateNamesFirstRepeat: the duplicate check sorts a copy
+// of the server list, but the error still names the first server that
+// repeats in list order.
+func TestLayoutValidateNamesFirstRepeat(t *testing.T) {
+	l := Layout{StripSize: 64 * units.KiB, Servers: []netsim.NodeID{3, 2, 1, 3, 1}}
+	err := l.Validate()
+	if err == nil || err.Error() != "pfs: duplicate server 3 in layout" {
+		t.Errorf("err = %v, want pfs: duplicate server 3 in layout", err)
+	}
+	if !reflect.DeepEqual(l.Servers, []netsim.NodeID{3, 2, 1, 3, 1}) {
+		t.Errorf("validation reordered the server list: %v", l.Servers)
+	}
+}
+
+// TestLayoutValidateWithAllocsNothing: with a warmed scratch buffer,
+// validating a layout (as a client does on every file open) allocates
+// nothing.
+func TestLayoutValidateWithAllocsNothing(t *testing.T) {
+	l := testLayout(48)
+	scratch, err := l.ValidateWith(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		scratch, err = l.ValidateWith(scratch)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("ValidateWith allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestExtentsAlignedTransfer(t *testing.T) {
 	l := testLayout(4)
 	// 1 MiB transfer at offset 0 = 16 strips over 4 servers, 4 each.
