@@ -51,11 +51,12 @@ race:
 # Short race pass of the orchestration-critical packages (the worker
 # pool, the fault injector, their heaviest consumer, the span/trace
 # recorder they share, and the sharded executor with its cluster-level
-# differential tests under parallel workers); cheap enough to run in
-# `all`.
+# differential tests under parallel workers, hybrid ones included:
+# their per-engine tick lists change inside events on worker
+# goroutines); cheap enough to run in `all`.
 race-short:
 	$(GO) test -race ./internal/runner ./internal/faults ./experiments ./internal/trace ./internal/shard
-	$(GO) test -race -run 'TestSharded' ./cluster
+	$(GO) test -race -run 'TestSharded|TestHybrid' ./cluster
 
 # Record the canonical outputs the repository ships with.
 test-output:
