@@ -188,8 +188,10 @@ type Config struct {
 	// live count excludes cancelled timers — retry- and fault-heavy
 	// runs cancel timers in bulk, and counting those corpses would
 	// inflate the denominator of any progress estimate. It also counts
-	// cross-shard messages awaiting delivery. Not serialized with the
-	// config.
+	// cross-shard messages awaiting delivery. A run that drains without
+	// being cancelled reports once more at its end, so the last call
+	// carries the final event count on one engine and on many. Not
+	// serialized with the config.
 	//saisvet:nilhook
 	Progress func(fired uint64, live int, now units.Time) `json:"-"`
 }
@@ -524,11 +526,13 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 	if workers < 1 {
 		workers = 1
 	}
-	// Each engine has its own fabric (with its frame pool) and its own
-	// message-body pool, shared by every node on that engine.
+	// Each engine has its own fabric (with its frame pool), its own
+	// message-body pool and its own strip-latency histogram, shared by
+	// every node on that engine.
 	engines := make([]*sim.Engine, shards)
 	fabrics := make([]*netsim.Fabric, shards)
 	bodies := make([]*pfs.Bodies, shards)
+	strips := make([]metrics.Histogram, shards)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
 		fabrics[i] = netsim.NewFabric(engines[i], cfg.FabricLatency)
@@ -601,6 +605,7 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 		ccfg.NIC.CoalesceDelay = cfg.CoalesceDelay
 		ccfg.NIC.Fragment = cfg.FragmentWire
 		sh := clientShard(i)
+		ccfg.StripLatencies = &strips[sh]
 		node, err := client.New(engines[sh], fabrics[sh], bodies[sh], ccfg)
 		if err != nil {
 			return nil, err
@@ -804,6 +809,12 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 		}
 		eng.RunUntilIdle()
 		stopped = eng.Stopped()
+		if cfg.Progress != nil && !stopped {
+			// The last poll can trail the drained engine by up to 63
+			// events; report the final counts, as the sharded executor
+			// does after its last round.
+			cfg.Progress(eng.Fired(), eng.Live(), eng.Now())
+		}
 	}
 	// Makespan and fabric totals aggregate over shards; on the classic
 	// path they reduce to the lone engine and fabric.
@@ -818,7 +829,7 @@ func run(ctx context.Context, cfg Config, instrument func([]*client.Node, []*pfs
 		net.dropped += f.Dropped()
 		net.corrupted += f.Corrupted()
 	}
-	res := collect(cfg, end, net, nodes, loads, srvs, inj, stations)
+	res := collect(cfg, end, net, nodes, loads, srvs, inj, stations, strips)
 	if ctx != nil && stopped {
 		return res, ctx.Err()
 	}
@@ -903,7 +914,7 @@ func (t *clientTick) run(now units.Time) {
 // the makespan (latest shard clock) and net the fabric rollup.
 func collect(cfg Config, end units.Time, net netTotals, nodes []*client.Node,
 	loads []*workload.IOR, srvs []*pfs.Server, inj *faults.Injector,
-	stations []*flowsim.Station) *Result {
+	stations []*flowsim.Station, strips []metrics.Histogram) *Result {
 	res := &Result{
 		Policy:         cfg.Policy.String(),
 		Duration:       end,
@@ -968,7 +979,13 @@ func collect(cfg Config, end units.Time, net netTotals, nodes []*client.Node,
 	if res.LineAccesses > 0 {
 		res.CacheMissRate = float64(res.LineMisses) / float64(res.LineAccesses)
 	}
-	var lats, wlats []float64
+	var nLats, nWlats int
+	for _, n := range nodes {
+		nLats += len(n.Latencies())
+		nWlats += len(n.WriteLatencies())
+	}
+	lats := make([]float64, 0, nLats)
+	wlats := make([]float64, 0, nWlats)
 	for _, n := range nodes {
 		lats = append(lats, n.Latencies()...)
 		wlats = append(wlats, n.WriteLatencies()...)
@@ -979,23 +996,28 @@ func collect(cfg Config, end units.Time, net netTotals, nodes []*client.Node,
 			sum += l
 		}
 		res.LatencyMean = units.Time(sum / float64(len(lats)))
-		res.LatencyP50 = units.Time(metrics.Percentile(lats, 50))
-		res.LatencyP99 = units.Time(metrics.Percentile(lats, 99))
+		// Percentiles sorts lats, so the mean above is summed first.
+		ps := metrics.Percentiles(lats, 50, 99)
+		res.LatencyP50, res.LatencyP99 = units.Time(ps[0]), units.Time(ps[1])
 	}
 	if len(wlats) > 0 {
-		res.WriteLatencyP50 = units.Time(metrics.Percentile(wlats, 50))
-		res.WriteLatencyP99 = units.Time(metrics.Percentile(wlats, 99))
+		ps := metrics.Percentiles(wlats, 50, 99)
+		res.WriteLatencyP50, res.WriteLatencyP99 = units.Time(ps[0]), units.Time(ps[1])
 	}
-	var strips metrics.Histogram
-	for _, n := range nodes {
-		strips.Merge(n.StripLatencies())
+	// Every sample is a whole number of nanoseconds, so the per-engine
+	// sums are exact and merging them in any grouping gives the same
+	// histogram as one accumulator over every node. The run is over,
+	// so engine 0's histogram takes the others in engine order.
+	all := &strips[0]
+	for i := 1; i < len(strips); i++ {
+		all.Merge(&strips[i])
 	}
-	if strips.Count() > 0 {
-		res.StripCount = strips.Count()
-		res.StripLatencyMean = units.Time(strips.Mean())
-		res.StripLatencyP50 = units.Time(strips.Percentile(50))
-		res.StripLatencyP95 = units.Time(strips.Percentile(95))
-		res.StripLatencyP99 = units.Time(strips.Percentile(99))
+	if all.Count() > 0 {
+		res.StripCount = all.Count()
+		res.StripLatencyMean = units.Time(all.Mean())
+		res.StripLatencyP50 = units.Time(all.Percentile(50))
+		res.StripLatencyP95 = units.Time(all.Percentile(95))
+		res.StripLatencyP99 = units.Time(all.Percentile(99))
 	}
 	for _, s := range srvs {
 		res.ServerBytes = append(res.ServerBytes, s.Stats().BytesSent+s.Stats().BytesWritten)

@@ -371,13 +371,13 @@ func TestBackgroundTickCostsOneEventPerEngine(t *testing.T) {
 				loaded.Duration, quiet.StripCount, quiet.StripLatencyMean, quiet.Duration,
 				loaded.BackgroundOfferedBytes)
 		}
-		// Progress sees the count at the engine's stop poll, every 64
-		// events, so each run's last report may fall up to 63 short.
+		// Progress reports the final count once the engine drains, so
+		// the difference is exactly the tick events.
 		ticks := int64(loadedFired) - int64(quietFired)
 		steps := int64(loaded.Duration / step)
-		if ticks < steps-2*63 || ticks > steps+2*63 {
-			t.Errorf("%d clients: %d tick events over %d steps, want one per step (±%d)",
-				clients, ticks, steps, 2*63)
+		if ticks != steps {
+			t.Errorf("%d clients: %d tick events over %d steps, want one per step",
+				clients, ticks, steps)
 		}
 	}
 }

@@ -257,3 +257,26 @@ func TestShardedDegradeLinkRejected(t *testing.T) {
 		t.Fatal("speed-up degrade-link accepted on a single-engine run; validation must be uniform")
 	}
 }
+
+// TestProgressFinalReport: a run that drains reports once more at its
+// end, so the last Progress call sees an empty queue and the run's full
+// event count, the same on one engine as on four shards.
+func TestProgressFinalReport(t *testing.T) {
+	var want uint64
+	for _, shards := range []int{1, 4} {
+		cfg := shardedBase()
+		cfg.Shards, cfg.Workers = shards, 1
+		var fired uint64
+		live := -1
+		cfg.Progress = func(f uint64, l int, _ units.Time) { fired, live = f, l }
+		if _, err := cluster.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if shards == 1 {
+			want = fired
+		}
+		if live != 0 || fired == 0 || fired != want {
+			t.Errorf("shards=%d: last report fired=%d live=%d, want %d live=0", shards, fired, live, want)
+		}
+	}
+}

@@ -7,16 +7,18 @@
 // with -baseline it compares the run against a committed baseline and
 // prints a table of deltas. Comparison is warn-only by default; with
 // -strict a finding fails the build: ns/op beyond a benchmark's
-// tolerance band, allocs/op outside the fixed 10% allocation band in
-// either direction, a baseline row the run did not produce, or a
-// baseline that cannot be read. Each baseline entry may carry its own
+// tolerance band, allocs/op or B/op outside the fixed 10% allocation
+// band in either direction, a baseline row the run did not produce, or
+// a baseline that cannot be read. Each baseline entry may carry its own
 // "tolerance" — the relative ns/op slack before a run counts as a
 // regression — so noisy macro-benchmarks can run with a wider band
 // than steady hot-path microbenchmarks; entries without one use the
-// 0.20 default. Allocation counts do not depend on the host, so their
-// band is fixed and tight, and a drop past it fails too: the baseline
-// is stale and must be re-recorded, or a later regression back to the
-// old count would pass. Re-recording preserves the tolerances already
+// 0.20 default. Allocation counts and bytes do not depend on the host,
+// so their band is fixed and tight, and a drop past it fails too: the
+// baseline is stale and must be re-recorded, or a later regression back
+// to the old figure would pass. Both are gated because they catch
+// different regressions: a few large buffers barely move allocs/op but
+// double B/op. Re-recording preserves the tolerances already
 // in the baseline file.
 //
 //	go test -bench EngineHot -benchmem -count 5 ./internal/sim | benchcheck -record BENCH_sim.json
@@ -57,8 +59,8 @@ type Baseline struct {
 // warning when the baseline entry carries no tolerance of its own.
 const defaultTolerance = 0.20
 
-// allocBand is the relative allocs/op change, up or down, that
-// triggers a warning. A zero-alloc baseline is exact.
+// allocBand is the relative allocs/op or B/op change, up or down, that
+// triggers a warning. A zero baseline is exact.
 const allocBand = 0.10
 
 func main() {
@@ -146,8 +148,8 @@ func load(path string) (Baseline, error) {
 
 // compare prints per-benchmark deltas against the baseline and returns
 // the number of findings: a row beyond its tolerance band, allocs/op
-// outside the allocation band in either direction, or a baseline row
-// the run did not produce.
+// or B/op outside the allocation band in either direction, or a
+// baseline row the run did not produce.
 func compare(w io.Writer, base Baseline, got map[string]Result) int {
 	names := make([]string, 0, len(got)+len(base.Benchmarks))
 	for name := range got {
@@ -183,23 +185,31 @@ func compare(w io.Writer, base Baseline, got map[string]Result) int {
 			mark = fmt.Sprintf("  WARN: slower than baseline (tolerance %.0f%%)", tol*100)
 			warned++
 		}
-		// Allocations: zero-alloc baselines are exact invariants (the
-		// engine hot path must stay at 0 allocs/op); non-zero baselines
-		// must stay within allocBand both ways.
-		switch {
-		case cur.AllocsPerOp > old.AllocsPerOp*(1+allocBand):
-			mark += fmt.Sprintf("  WARN: allocs/op %.0f -> %.0f, over the %.0f%% band", old.AllocsPerOp, cur.AllocsPerOp, allocBand*100)
-			warned++
-		case cur.AllocsPerOp < old.AllocsPerOp*(1-allocBand):
-			mark += fmt.Sprintf("  WARN: allocs/op %.0f -> %.0f, under the %.0f%% band: re-record the baseline (make bench-record)", old.AllocsPerOp, cur.AllocsPerOp, allocBand*100)
-			warned++
-		}
+		// Allocations: zero baselines are exact invariants (the engine
+		// hot path must stay at 0 allocs/op and 0 B/op); non-zero
+		// baselines must stay within allocBand both ways.
+		warned += allocFinding(&mark, "allocs/op", old.AllocsPerOp, cur.AllocsPerOp)
+		warned += allocFinding(&mark, "B/op", old.BytesPerOp, cur.BytesPerOp)
 		fmt.Fprintf(w, "%-52s %12.1f %12.1f %+7.1f%%%s\n", name, old.NsPerOp, cur.NsPerOp, delta*100, mark)
 	}
 	if warned > 0 {
 		fmt.Fprintf(w, "benchcheck: %d warning(s)\n", warned)
 	}
 	return warned
+}
+
+// allocFinding appends a warning to mark and returns 1 when cur lies
+// outside the allocation band around base; it returns 0 otherwise.
+func allocFinding(mark *string, unit string, base, cur float64) int {
+	switch {
+	case cur > base*(1+allocBand):
+		*mark += fmt.Sprintf("  WARN: %s %.0f -> %.0f, over the %.0f%% band", unit, base, cur, allocBand*100)
+	case cur < base*(1-allocBand):
+		*mark += fmt.Sprintf("  WARN: %s %.0f -> %.0f, under the %.0f%% band: re-record the baseline (make bench-record)", unit, base, cur, allocBand*100)
+	default:
+		return 0
+	}
+	return 1
 }
 
 // parse aggregates `go test -bench` output lines by benchmark name

@@ -88,9 +88,22 @@ func TestMedian(t *testing.T) {
 func TestCompareBands(t *testing.T) {
 	base := Baseline{Benchmarks: map[string]Result{
 		"Zero":  {NsPerOp: 100},
-		"Alloc": {NsPerOp: 100, AllocsPerOp: 100},
+		"Alloc": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 100},
 		"Wide":  {NsPerOp: 100, Tolerance: 1},
 	}}
+	// rows is a run that matches base except where the case overrides
+	// a row.
+	rows := func(over map[string]Result) map[string]Result {
+		got := map[string]Result{
+			"Zero":  {NsPerOp: 100},
+			"Alloc": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 100},
+			"Wide":  {NsPerOp: 100},
+		}
+		for name, r := range over {
+			got[name] = r
+		}
+		return got
+	}
 	for _, tc := range []struct {
 		name string
 		got  map[string]Result
@@ -98,17 +111,24 @@ func TestCompareBands(t *testing.T) {
 		// mention, when set, must appear in the printed table.
 		mention string
 	}{
-		{"within the default band", map[string]Result{"Zero": {NsPerOp: 119}, "Alloc": {NsPerOp: 80, AllocsPerOp: 109}, "Wide": {NsPerOp: 100}}, 0, ""},
-		{"slower than the default band", map[string]Result{"Zero": {NsPerOp: 121}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}}, 1, "slower"},
-		{"a zero-alloc baseline allocates", map[string]Result{"Zero": {NsPerOp: 100, AllocsPerOp: 1}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}}, 1, "allocs/op 0 -> 1"},
-		{"allocs beyond the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 121}, "Wide": {NsPerOp: 100}}, 1, "over the 10% band"},
-		{"allocs grew past the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 111}, "Wide": {NsPerOp: 100}}, 1, "over the 10% band"},
-		{"allocs dropped past the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 89}, "Wide": {NsPerOp: 100}}, 1, "re-record"},
-		{"allocs dropped within the band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 91}, "Wide": {NsPerOp: 100}}, 0, ""},
-		{"slower and allocating more", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 150, AllocsPerOp: 150}, "Wide": {NsPerOp: 100}}, 2, ""},
-		{"a per-entry band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 199}}, 0, ""},
-		{"beyond a per-entry band", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 201}}, 1, "tolerance 100%"},
-		{"a new row", map[string]Result{"Zero": {NsPerOp: 100}, "Alloc": {NsPerOp: 100, AllocsPerOp: 100}, "Wide": {NsPerOp: 100}, "New": {NsPerOp: 1e9}}, 0, "(new)"},
+		{"within the default band", rows(map[string]Result{"Zero": {NsPerOp: 119}, "Alloc": {NsPerOp: 80, BytesPerOp: 1090, AllocsPerOp: 109}}), 0, ""},
+		{"slower than the default band", rows(map[string]Result{"Zero": {NsPerOp: 121}}), 1, "slower"},
+		{"a zero-alloc baseline allocates", rows(map[string]Result{"Zero": {NsPerOp: 100, AllocsPerOp: 1}}), 1, "allocs/op 0 -> 1"},
+		{"allocs beyond the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 121}}), 1, "over the 10% band"},
+		{"allocs grew past the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 111}}), 1, "over the 10% band"},
+		{"allocs dropped past the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 89}}), 1, "re-record"},
+		{"allocs dropped within the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 91}}), 0, ""},
+		{"a zero-byte baseline allocates", rows(map[string]Result{"Zero": {NsPerOp: 100, BytesPerOp: 8}}), 1, "B/op 0 -> 8"},
+		{"bytes grew past the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 1101, AllocsPerOp: 100}}), 1, "B/op 1000 -> 1101, over the 10% band"},
+		// One large buffer that came back: allocs/op moves by 1%, B/op doubles.
+		{"a large buffer with few allocations", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 2000, AllocsPerOp: 101}}), 1, "B/op 1000 -> 2000"},
+		{"bytes dropped past the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 899, AllocsPerOp: 100}}), 1, "B/op 1000 -> 899, under the 10% band: re-record"},
+		{"bytes dropped within the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 901, AllocsPerOp: 100}}), 0, ""},
+		{"allocs and bytes both past the band", rows(map[string]Result{"Alloc": {NsPerOp: 100, BytesPerOp: 500, AllocsPerOp: 50}}), 2, "B/op"},
+		{"slower and allocating more", rows(map[string]Result{"Alloc": {NsPerOp: 150, BytesPerOp: 1000, AllocsPerOp: 150}}), 2, ""},
+		{"a per-entry band", rows(map[string]Result{"Wide": {NsPerOp: 199}}), 0, ""},
+		{"beyond a per-entry band", rows(map[string]Result{"Wide": {NsPerOp: 201}}), 1, "tolerance 100%"},
+		{"a new row", rows(map[string]Result{"New": {NsPerOp: 1e9}}), 0, "(new)"},
 		{"missing rows", map[string]Result{"Zero": {NsPerOp: 100}}, 2, "missing from this run"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,7 +151,7 @@ func TestRunStrict(t *testing.T) {
 	path := filepath.Join(dir, "base.json")
 	buf, err := json.Marshal(Baseline{Benchmarks: map[string]Result{
 		"BenchmarkHot":                      {NsPerOp: 110},
-		"BenchmarkScale/shards=4/workers=4": {NsPerOp: 3000, AllocsPerOp: 8},
+		"BenchmarkScale/shards=4/workers=4": {NsPerOp: 3000, BytesPerOp: 768, AllocsPerOp: 8},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +161,8 @@ func TestRunStrict(t *testing.T) {
 	}
 	missing := filepath.Join(dir, "missing.json")
 	oneRow := "BenchmarkHot-8 1 110 ns/op\n"
-	regression := oneRow + "BenchmarkScale/shards=4/workers=4-8 1 3000 ns/op 0 B/op 10 allocs/op\n"
+	regression := oneRow + "BenchmarkScale/shards=4/workers=4-8 1 3000 ns/op 768 B/op 10 allocs/op\n"
+	byteRegression := oneRow + "BenchmarkScale/shards=4/workers=4-8 1 3000 ns/op 1024 B/op 8 allocs/op\n"
 	for _, tc := range []struct {
 		name  string
 		args  []string
@@ -154,6 +175,8 @@ func TestRunStrict(t *testing.T) {
 		{"a baseline row missing", []string{"-strict", "-baseline", path}, oneRow, 1},
 		{"a baseline row missing, warn only", []string{"-baseline", path}, oneRow, 0},
 		{"a regression", []string{"-strict", "-baseline", path}, regression, 1},
+		{"a B/op regression", []string{"-strict", "-baseline", path}, byteRegression, 1},
+		{"a B/op regression, warn only", []string{"-baseline", path}, byteRegression, 0},
 		{"no benchmark lines", []string{"-strict", "-baseline", path}, "PASS\n", 2},
 		{"neither mode", []string{"-strict"}, canned, 2},
 	} {

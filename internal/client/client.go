@@ -163,6 +163,10 @@ type Config struct {
 	TransferDeadline units.Time
 	Seed             uint64
 	MDS              netsim.NodeID
+	// StripLatencies, when set, receives every strip's issue→arrival
+	// latency (ns). One histogram serves all the nodes of an engine and
+	// is written only from that engine's events; nil records nothing.
+	StripLatencies *metrics.Histogram
 }
 
 // Backoff-schedule defaults, applied when the corresponding Config
@@ -538,10 +542,6 @@ type Node struct {
 	tracer         *trace.Ring
 	// spans, when non-nil, records the full lifecycle of every strip.
 	spans *trace.SpanLog
-	// stripHist accumulates per-strip issue→arrival latency (ns); it is
-	// always on — the fixed-shape histogram costs one array index per
-	// strip.
-	stripHist metrics.Histogram
 }
 
 // Latencies returns the completed read-transfer latencies (ns).
@@ -560,10 +560,6 @@ func (n *Node) SetTracer(tr *trace.Ring) { n.tracer = tr }
 // SetSpanLog attaches the lifecycle span recorder; nil (the default)
 // disables span tracing entirely — no allocation on any hot path.
 func (n *Node) SetSpanLog(l *trace.SpanLog) { n.spans = l }
-
-// StripLatencies returns the per-strip issue→arrival latency histogram
-// (nanoseconds).
-func (n *Node) StripLatencies() *metrics.Histogram { return &n.stripHist }
 
 func (n *Node) tracef(component, format string, args ...any) {
 	if n.tracer != nil {
@@ -1380,7 +1376,9 @@ func (n *Node) stripArrived(core int, src netsim.NodeID, seq uint64, sd *pfs.Str
 	if n.spans != nil {
 		n.spans.End(trace.PhaseIRQ, now, int(n.cfg.Node), sd.Tag, sd.GlobalStrip, core)
 	}
-	n.stripHist.Add(float64(now - rd.issuedAt))
+	if h := n.cfg.StripLatencies; h != nil {
+		h.Add(float64(now - rd.issuedAt))
+	}
 	if n.reorderIssue {
 		// Per-server latency EWMA for straggler-aware issue ordering.
 		sample := float64(now - rd.issuedAt)

@@ -3,9 +3,11 @@ package metrics
 import "math"
 
 // Histogram bucket geometry: log-linear (HDR-style). Each power-of-two
-// octave is split into 2^histSubBits linear sub-buckets, bounding the
-// relative quantile error at ~1/2^histSubBits (≈3 %) across the full
-// positive float range — wide enough for nanosecond latencies without
+// octave [2^e, 2^(e+1)) is split into 2^histSubBits linear sub-buckets
+// of width 2^e/32, and a bucket reports its midpoint, so a value v ≥ 1
+// is off by at most 2^e/64 ≤ v/64 (≈1.6 %); values below 1 share
+// bucket 0 and are off by at most 0.5. That covers the full positive
+// float range — wide enough for nanosecond latencies without
 // pre-declaring bounds.
 const (
 	histSubBits = 5
@@ -16,9 +18,10 @@ const (
 
 // Histogram is a fixed-shape log-linear latency histogram. The zero
 // value is ready to use; the bucket array is allocated on first Add so
-// an unused histogram costs a few words. Percentile estimates carry
-// ≤ ~3 % relative error and agree with Percentile on the raw samples
-// within that bound.
+// an unused histogram costs a few words. Percentile estimates agree
+// with Percentile on the raw samples within 0.5 + |exact|/64: rank
+// interpolation mixes two bucket values, each within the per-value
+// bound above.
 type Histogram struct {
 	counts []uint64
 	n      uint64

@@ -104,20 +104,39 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
+	return sortedPercentile(cp, p)
+}
+
+// Percentiles returns the ps-th percentiles of xs, each as Percentile
+// would compute it, from one sort. It sorts xs in place.
+func Percentiles(xs []float64, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
+	if len(xs) == 0 {
+		return out
+	}
+	sort.Float64s(xs)
+	for i, p := range ps {
+		out[i] = sortedPercentile(xs, p)
+	}
+	return out
+}
+
+// sortedPercentile is Percentile on an already sorted, non-empty slice.
+func sortedPercentile(sorted []float64, p float64) float64 {
 	if p <= 0 {
-		return cp[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return cp[len(cp)-1]
+		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(cp)-1)
+	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return cp[lo]
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // tTable holds two-sided 95 % Student-t critical values for 1..30

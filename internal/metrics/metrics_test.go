@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,32 @@ func TestPercentile(t *testing.T) {
 	Percentile(ys, 50)
 	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
 		t.Error("Percentile mutated input")
+	}
+}
+
+// TestPercentilesMatchesPercentile: one sort answers every p exactly
+// as a Percentile call per p would.
+func TestPercentilesMatchesPercentile(t *testing.T) {
+	r := rng.New(7)
+	for _, n := range []int{0, 1, 2, 5, 100, 1001} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Exp(1e6)
+		}
+		ps := []float64{-1, 0, 1, 25, 50, 62.5, 95, 99, 100, 120}
+		want := make([]float64, len(ps))
+		for i, p := range ps {
+			want[i] = Percentile(xs, p)
+		}
+		got := Percentiles(xs, ps...)
+		for i := range ps {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("n=%d p%v: Percentiles %v, Percentile %v", n, ps[i], got[i], want[i])
+			}
+		}
+		if !sort.Float64sAreSorted(xs) {
+			t.Errorf("n=%d: Percentiles left its input unsorted", n)
+		}
 	}
 }
 
